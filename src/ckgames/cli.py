@@ -13,7 +13,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import dsl, engine, scenarios
+from . import dsl, engine, scenarios, worlds
 
 OK, FAIL, USAGE = 0, 1, 2
 
@@ -35,7 +35,6 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run every world of a family (sweep marker)")
     p_sweep.add_argument("path")
-    p_sweep.add_argument("--metric", choices=("learners",), default="learners")
     p_sweep.add_argument("--orbit", action="store_true", help="merge rotation classes")
 
     p_stab = sub.add_parser("stability", help="compare a capped run against a larger cap")
@@ -140,11 +139,13 @@ def cmd_verify(args) -> int:
         try:
             sc = dsl.parse_file(str(path))
             exp = dsl.parse_expected_file(str(expect_path))
+            if sc.actual is None:
+                return (path.name, None, ["fixture has a sweep marker; verify needs an actual world"])
+            transcript = engine.run(sc)
         except (dsl.ParseError, dsl.SemanticError) as e:
             return (path.name, None, [f"parse error: {e}"])
-        if sc.actual is None:
-            return (path.name, None, ["fixture has a sweep marker; verify needs an actual world"])
-        transcript = engine.run(sc)
+        except (worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
+            return (path.name, None, [f"error: {e}"])
         return (path.name, transcript, dsl.match_expectation(exp, transcript, sc.alphabet))
 
     workers = max(1, int(os.environ.get("CK_THREADS", "1")))

@@ -669,52 +669,39 @@ def run_profiles(
 
     Returns a map profile -> {value -> round | None}; all holders of the same
     value in a full-sight simultaneous game answer identically.
+
+    Incremental partition refinement (Paige & Tarjan 1987).  The holder of v
+    in a profile sees the profile minus one v; its candidates are the members
+    of that observation group with no YES yet whose values seen have the same
+    first-YES rounds.  A member alone in its class says YES.  Histories that
+    differ once stay different, so classes only split, and a group with no
+    profile that got a YES last round cannot yield a new singleton.
     """
-    index: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    table = {prof: dict.fromkeys(prof) for prof in profiles}
+    groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for prof in profiles:
-        for i, v in enumerate(prof):
-            if i > 0 and prof[i - 1] == v:
-                continue
-            obs = prof[:i] + prof[i + 1 :]
-            index.setdefault(obs, []).append((v, prof))
-
-    first: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def truncated(prof2, u, rnd):
-        f = first.get((prof2, u))
-        return f if f is not None and f < rnd else None
-
+        for obs, v in _observations(prof):
+            groups.setdefault(obs, []).append((v, prof))
+    touched: Iterable[tuple[int, ...]] = groups
     for rnd in range(1, max_rounds + 1):
-        changed = False
-        for prof in profiles:
-            for i, v in enumerate(prof):
-                if i > 0 and prof[i - 1] == v:
-                    continue
-                if (prof, v) in first:
-                    continue
-                obs = prof[:i] + prof[i + 1 :]
-                candidates = []
-                for v2, prof2 in index[obs]:
-                    # the agent's own announcements so far are all NO, so the
-                    # candidate value must not have triggered an earlier YES
-                    if truncated(prof2, v2, rnd) is not None:
-                        continue
-                    ok = all(
-                        truncated(prof2, u, rnd) == truncated(prof, u, rnd)
-                        for u in set(obs)
-                    )
-                    if ok:
-                        candidates.append(v2)
-                if len(candidates) == 1:
-                    first[(prof, v)] = rnd
-                    changed = True
-        if not changed:
-            break
+        yes = []
+        for obs in touched:
+            seen = tuple(dict.fromkeys(obs))
+            classes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+            for v, prof in groups[obs]:
+                row = table[prof]
+                if row[v] is None:
+                    classes.setdefault(tuple([row[u] for u in seen]), []).append((v, prof))
+            yes += [members[0] for members in classes.values() if len(members) == 1]
+        for v, prof in yes:
+            table[prof][v] = rnd
+        touched = {obs for _, prof in yes for obs, _ in _observations(prof)}
+    return table
 
-    out: dict[tuple[int, ...], dict[int, Optional[int]]] = {}
-    for prof in profiles:
-        out[prof] = {v: first.get((prof, v)) for v in set(prof)}
-    return out
+
+def _observations(prof: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(what the holder sees, value) for each distinct value of a sorted profile."""
+    return [(prof[:i] + prof[i + 1 :], v) for i, v in enumerate(prof) if i == 0 or prof[i - 1] != v]
 
 
 def yes_pattern(first_by_value: dict[int, Optional[int]], profile: tuple[int, ...]) -> tuple[int, ...]:

@@ -384,15 +384,6 @@ def needs_cap(constraint: Constraint) -> bool:
     return isinstance(constraint, (MaxDiffExact, MaxDiffAtMost, ConsecutiveDistinct))
 
 
-def default_cap(constraint, actual: World, max_rounds: int) -> int:
-    """Heuristic cap for unbounded families; soundness comes from stability_check."""
-    if isinstance(constraint, (MaxDiffExact, MaxDiffAtMost)):
-        return max(actual) + (max_rounds + 2) * max(constraint.diff, 1)
-    if isinstance(constraint, ConsecutiveDistinct):
-        return max(actual) + len(actual)
-    raise GenerationError("constraint does not take a cap")
-
-
 def with_cap(constraint: Constraint, cap: int) -> Constraint:
     if isinstance(constraint, MaxDiffExact):
         return MaxDiffExact(constraint.diff, cap)

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from ckgames import engine
 from ckgames.cli import main
+from ckgames.engine import EngineError
+from ckgames.scenarios import GenerationError
+from ckgames.worlds import ContractViolation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
@@ -55,6 +59,30 @@ def test_verify_reports_mismatch(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "expected" in captured.err
+
+
+@pytest.mark.parametrize("error", [ContractViolation, GenerationError, EngineError])
+def test_verify_isolates_a_failing_fixture(tmp_path, capsys, monkeypatch, error):
+    text = (FIXTURES / "intro_two_reds.ck").read_text()
+    for name in ("bad", "good"):
+        (tmp_path / f"{name}.ck").write_text(text.replace("intro-two-reds", name))
+        (tmp_path / f"{name}.expect").write_text((FIXTURES / "intro_two_reds.expect").read_text())
+    # the parser turns its own checks into SemanticError, so the failure is
+    # injected where a scenario the checks miss would raise it: in engine.run
+    real_run = engine.run
+
+    def run(sc):
+        if sc.name == "bad":
+            raise error("injected failure")
+        return real_run(sc)
+
+    monkeypatch.setattr(engine, "run", run)
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL  bad.ck" in captured.out
+    assert "PASS  good.ck" in captured.out
+    assert "1/2 fixtures passed" in captured.out
+    assert "injected failure" in captured.err
 
 
 def test_verify_empty_dir(tmp_path):

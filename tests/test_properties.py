@@ -3,11 +3,12 @@
 from hypothesis import given, settings, strategies as st
 
 from ckgames import dsl
-from ckgames.engine import run
+from ckgames.engine import profile_universe, run, run_profiles
 from ckgames.scenarios import (
     Circular,
     Full,
     HatsAtLeast,
+    MaxDiffExact,
     Scenario,
     Simultaneous,
     gen_universe,
@@ -159,3 +160,63 @@ def test_json_roundtrip_byte_identity(sc):
 
     assert json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n" == text
     assert dsl.serialize_transcript(run(sc)) == text
+
+
+def reference_run_profiles(profiles, max_rounds):
+    """Slow reference for run_profiles: every round re-checks every live
+    (profile, value) pair against every candidate sharing its observation."""
+    index = {}
+    for prof in profiles:
+        for i, v in enumerate(prof):
+            if i > 0 and prof[i - 1] == v:
+                continue
+            obs = prof[:i] + prof[i + 1 :]
+            index.setdefault(obs, []).append((v, prof))
+
+    first = {}
+
+    def truncated(prof2, u, rnd):
+        f = first.get((prof2, u))
+        return f if f is not None and f < rnd else None
+
+    for rnd in range(1, max_rounds + 1):
+        changed = False
+        for prof in profiles:
+            for i, v in enumerate(prof):
+                if i > 0 and prof[i - 1] == v:
+                    continue
+                if (prof, v) in first:
+                    continue
+                obs = prof[:i] + prof[i + 1 :]
+                candidates = []
+                for v2, prof2 in index[obs]:
+                    # the agent's own announcements so far are all NO, so the
+                    # candidate value must not have triggered an earlier YES
+                    if truncated(prof2, v2, rnd) is not None:
+                        continue
+                    ok = all(
+                        truncated(prof2, u, rnd) == truncated(prof, u, rnd)
+                        for u in set(obs)
+                    )
+                    if ok:
+                        candidates.append(v2)
+                if len(candidates) == 1:
+                    first[(prof, v)] = rnd
+                    changed = True
+        if not changed:
+            break
+
+    return {prof: {v: first.get((prof, v)) for v in set(prof)} for prof in profiles}
+
+
+@st.composite
+def maxdiff_profiles(draw):
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(0, 3))
+    cap = draw(st.integers(d, 8))
+    return profile_universe(MaxDiffExact(d, cap), n)
+
+
+@given(maxdiff_profiles(), st.integers(1, 8))
+def test_profile_evaluator_matches_reference(profiles, max_rounds):
+    assert run_profiles(profiles, max_rounds) == reference_run_profiles(profiles, max_rounds)
