@@ -51,7 +51,6 @@ from .engine import (
     SweepReport,
     SweepRow,
     Transcript,
-    eventual_knowledge,
     run,
     stability_check,
     sweep,

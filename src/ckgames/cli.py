@@ -8,9 +8,7 @@ stderr.  JSON output is canonical and byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import dsl, engine, scenarios, worlds
@@ -148,12 +146,7 @@ def cmd_verify(args) -> int:
             return (path.name, None, [f"error: {e}"])
         return (path.name, transcript, dsl.match_expectation(exp, transcript, sc.alphabet))
 
-    workers = max(1, int(os.environ.get("CK_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, fixtures))
-    else:
-        results = [check(f) for f in fixtures]
+    results = [check(f) for f in fixtures]
 
     failed = 0
     malformed = 0

@@ -1,10 +1,11 @@
 """Announcement protocols: drive games to a fixpoint and classify who learns what.
 
-Both protocols follow the same loop: compute truthful YES/NO announcements for
-the actual world, record them, and filter the knowledge state down to the
-worlds in which those exact announcements would have been made.  A run stops
-when everyone has said YES, when a full round certifies a fixpoint (no world
-eliminated and no first-time YES), or at the horizon.
+Both protocols follow the same loop: split the knowledge state by the truthful
+YES/NO announcements its worlds would give, record the announcements, and keep
+the part in which those exact announcements would have been made (a run keeps
+the actual world's part, a sweep every part).  A branch stops when everyone has
+said YES, when a full round certifies a fixpoint (no world eliminated and no
+first-time YES), or at the horizon.
 
 "Never" is only asserted after a certified fixpoint; hitting the horizon
 without one yields "unknown".
@@ -15,17 +16,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
 from .worlds import (
-    EmptyStateError,
+    MIXED,
     KnowledgeState,
     VisibilityGraph,
     World,
-    _candidate_counts,
     answer_str,
-    answers_for_all,
+    answer_tables,
+    answers_in,
+    split,
 )
 
 
@@ -95,109 +97,135 @@ def transcript_digest(events: Iterable[Event]) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def default_max_rounds(universe_size: int) -> int:
-    """Eliminations bound the round count for materialized universes."""
-    return universe_size + 2
-
-
 class EngineError(Exception):
     pass
 
 
 STREAM_THRESHOLD = 500_000
-MATERIALIZE_AT = 200_000
 
 
 # ---------------------------------------------------------------------------
-# the run loop
+# the round driver, shared by run and sweep
 
 
-def run(scenario: scenarios.Scenario) -> Transcript:
-    """Play the scenario's protocol to completion and return the transcript."""
-    scenario.validate()
-    if scenario.actual is None:
-        raise EngineError("scenario has a free actual world; use sweep instead")
-    size = scenario.constraint.count_worlds(scenario.n_agents)
-    if size > STREAM_THRESHOLD:
-        return _run_streamed(scenario, size)
-    universe = scenario.universe()
-    if scenario.actual not in universe:
-        raise EngineError("actual world is not a member of the generated universe")
-    return _run_state(scenario, universe)
+class _Branch(NamedTuple):
+    state: object  # KnowledgeState, or _Lazy while too large to hold
+    events: tuple[Event, ...]
+    first_yes: dict[int, tuple[int, int]]
 
 
-def _run_state(scenario: scenarios.Scenario, universe: KnowledgeState) -> Transcript:
-    vis = scenario.visibility()
-    actual = scenario.actual
+class _Lazy:
+    """The constraint's worlds that pass every predicate, generated afresh on each pass.
+
+    Memory stays proportional to the distinct observation keys of a step.
+    """
+
+    def __init__(self, constraint, n: int, predicates: tuple, size: int):
+        self.constraint = constraint
+        self.n = n
+        self.predicates = predicates
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return scenarios.stream_worlds(self.constraint, self.n, self.predicates)
+
+    def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
+        """(the actual world's answers, the worlds giving the same answers).
+
+        The table pass answers the step.  One speaker's kept size is a sum of the
+        table's counts; a simultaneous round counts in one more pass, keeping the
+        worlds if they fit.  The result is materialized once it fits.
+        """
+        tables = answer_tables(self, speakers, vis)
+        announced = answers_in(tables, actual)
+        kept = _Lazy(
+            self.constraint, self.n,
+            self.predicates + (lambda w: answers_in(tables, w) == announced,), 0,
+        )
+        worlds = kept
+        if len(speakers) == 1:
+            kept.size = sum(
+                count for own, count in tables[0][1].values() if (own != MIXED) == announced[0]
+            )
+        else:
+            stream = iter(kept)
+            worlds = list(itertools.islice(stream, STREAM_THRESHOLD + 1))
+            kept.size = len(worlds) + sum(1 for _ in stream)
+        if kept.size <= STREAM_THRESHOLD:
+            return announced, KnowledgeState.from_worlds(worlds)
+        return announced, kept
+
+
+def _play(
+    scenario: scenarios.Scenario, root, actual: Optional[World] = None
+) -> list[tuple[_Branch, Optional[int]]]:
+    """Refine `root` round by round; (branch, round it stabilized or None) per leaf.
+
+    A round is a list of steps: all agents at once (simultaneous) or one agent
+    per step in `order` (circular).  Each step splits every branch by the
+    speakers' truthful answers, and each part becomes a child branch; with an
+    actual world only the child holding it is kept.  A branch stops when every
+    answer of a round was YES, or when the round left its size and its number
+    of learners unchanged (a certified fixpoint).
+    """
     protocol = scenario.protocol
     n = scenario.n_agents
-    events: list[Event] = []
-    first_yes: dict[int, tuple[int, int]] = {}
-    state = universe
-    stabilized: Optional[int] = None
+    vis = scenario.visibility()
+    simultaneous = isinstance(protocol, scenarios.Simultaneous)
+    steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
+    live = [_Branch(root, (), {})]
+    leaves = []
+    for rnd in range(1, protocol.max_rounds + 1):
+        if not live:
+            break
+        next_live = []
+        for start in live:
+            branches = [start]
+            for pos, speakers in enumerate(steps):
+                turn = rnd if simultaneous else (rnd - 1) * n + pos + 1
+                branches = [
+                    child for branch in branches
+                    for child in _children(branch, speakers, rnd, turn, vis, actual)
+                ]
+            for branch in branches:
+                said = branch.events[len(start.events):]
+                if all(e.answer for e in said) or (
+                    len(branch.state) == len(start.state)
+                    and len(branch.first_yes) == len(start.first_yes)
+                ):
+                    leaves.append((branch, rnd))
+                else:
+                    next_live.append(branch)
+        live = next_live
+    return leaves + [(branch, None) for branch in live]
 
-    if isinstance(protocol, scenarios.Simultaneous):
-        for rnd in range(1, protocol.max_rounds + 1):
-            answers = answers_for_all(state, vis)
-            announced = answers[actual]
-            kept = tuple(w for w in state if answers[w] == announced)
-            if not kept:
-                raise EmptyStateError("announcement inconsistent with state")
-            eliminated = len(state) - len(kept)
-            state = KnowledgeState(kept, state.history + ("round",))
-            new_yes = False
-            for i in range(n):
-                events.append(Event(rnd, rnd, i, announced[i], len(state)))
-                if announced[i] and i not in first_yes:
-                    first_yes[i] = (rnd, rnd)
-                    new_yes = True
-            if all(announced) or (eliminated == 0 and not new_yes):
-                stabilized = rnd
-                break
+
+def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
+    """One child per part of the branch's state after `speakers` answer truthfully.
+
+    With an actual world, only the child holding it.
+    """
+    if isinstance(branch.state, _Lazy):
+        parts = [branch.state.narrowed(speakers, vis, actual)]
     else:
-        order = protocol.order
-        for rnd in range(1, protocol.max_rounds + 1):
-            round_answers = []
-            round_eliminated = 0
-            round_new_yes = False
-            for pos, agent in enumerate(order):
-                counts = _candidate_counts(state, agent, vis)
-                observed = vis.observed(agent)
-                key = tuple(actual[j] for j in observed)
-                answer = len(counts[key]) == 1
-                kept = tuple(
-                    w
-                    for w in state
-                    if (len(counts[tuple(w[j] for j in observed)]) == 1) == answer
-                )
-                if not kept:
-                    raise EmptyStateError("announcement inconsistent with state")
-                round_eliminated += len(state) - len(kept)
-                state = KnowledgeState(kept, state.history + ("turn",))
-                turn = (rnd - 1) * n + pos + 1
-                events.append(Event(rnd, turn, agent, answer, len(state)))
-                round_answers.append(answer)
-                if answer and agent not in first_yes:
-                    first_yes[agent] = (rnd, turn)
-                    round_new_yes = True
-            if all(round_answers) or (round_eliminated == 0 and not round_new_yes):
-                stabilized = rnd
-                break
-
-    eventual = _classify(n, first_yes, stabilized)
-    final = tuple(
-        tuple(sorted({w[i] for w in state})) for i in range(n)
-    )
-    return Transcript(
-        scenario=scenario.name,
-        agents=scenario.agents,
-        protocol="simultaneous" if isinstance(protocol, scenarios.Simultaneous) else "circular",
-        initial_size=len(universe),
-        events=tuple(events),
-        eventual=eventual,
-        stabilized_at=stabilized,
-        final_candidates=final,
-    )
+        parts = [
+            (answers, KnowledgeState(tuple(worlds)))
+            for answers, worlds in split(branch.state, speakers, vis).items()
+            if actual is None or actual in worlds
+        ]
+    for answers, state in parts:
+        first_yes = dict(branch.first_yes)
+        for agent, answer in zip(speakers, answers):
+            if answer:
+                first_yes.setdefault(agent, (rnd, turn))
+        events = tuple(
+            Event(rnd, turn, agent, answer, len(state))
+            for agent, answer in zip(speakers, answers)
+        )
+        yield _Branch(state, branch.events + events, first_yes)
 
 
 def _classify(
@@ -214,207 +242,42 @@ def _classify(
     return tuple(out)
 
 
-def eventual_knowledge(scenario: scenarios.Scenario) -> tuple[Eventual, ...]:
-    """Projection of run() onto the per-agent classification."""
-    return run(scenario).eventual
-
-
 # ---------------------------------------------------------------------------
-# streamed runs (memory proportional to distinct observation keys)
+# single runs
 
 
-class _StreamedState:
-    """A world stream plus accumulated announcement predicates.
+def run(scenario: scenarios.Scenario) -> Transcript:
+    """Play the scenario's protocol to completion and return the transcript.
 
-    Per-turn answers use a two-pass scheme: pass 1 accumulates, per observation
-    key of the speaking agent, the distinct own values (capped at two) and the
-    world count under that key; the filter predicate and the post-filter size
-    both fall out of that map.  Once the state shrinks below the materialization
-    threshold it is collected and the run continues in memory.
+    Universes above STREAM_THRESHOLD worlds are never held: each step makes a
+    pass over the generator until the state is small enough to materialize.
     """
-
-    def __init__(self, constraint, n: int, vis: VisibilityGraph):
-        self.constraint = constraint
-        self.n = n
-        self.vis = vis
-        self.predicates: list[Callable[[World], bool]] = []
-
-    def _stream(self):
-        return scenarios.stream_worlds(self.constraint, self.n, self.predicates)
-
-    def turn_pass(self, agent: int):
-        """Map obs-key -> (own values capped at 2, world count) for the speaker."""
-        observed = self.vis.observed(agent)
-        table: dict[tuple[int, ...], list] = {}
-        for w in self._stream():
-            key = tuple(w[j] for j in observed)
-            entry = table.get(key)
-            if entry is None:
-                table[key] = [{w[agent]}, 1]
-            else:
-                if len(entry[0]) < 2:
-                    entry[0].add(w[agent])
-                entry[1] += 1
-        return observed, table
-
-    def apply_turn(self, agent: int, observed, table, answer: bool) -> int:
-        def pred(w, observed=observed, table=table, answer=answer):
-            return (len(table[tuple(w[j] for j in observed)][0]) == 1) == answer
-
-        self.predicates.append(pred)
-        return sum(
-            count for vals, count in table.values() if (len(vals) == 1) == answer
-        )
-
-    def round_pass(self):
-        """Maps for every agent at once (simultaneous rounds)."""
-        tables = []
-        for agent in range(self.n):
-            observed = self.vis.observed(agent)
-            tables.append((observed, {}))
-        total = 0
-        for w in self._stream():
-            total += 1
-            for agent in range(self.n):
-                observed, table = tables[agent]
-                key = tuple(w[j] for j in observed)
-                vals = table.get(key)
-                if vals is None:
-                    table[key] = {w[agent]}
-                elif len(vals) < 2:
-                    vals.add(w[agent])
-        return tables, total
-
-    def answers_of(self, tables, world: World) -> tuple[bool, ...]:
-        return tuple(
-            len(table[tuple(world[j] for j in observed)]) == 1
-            for observed, table in tables
-        )
-
-    def apply_round(self, tables, announced: tuple[bool, ...]) -> int:
-        def pred(w, tables=tables, announced=announced):
-            return self.answers_of(tables, w) == announced
-
-        self.predicates.append(pred)
-        return sum(1 for _ in self._stream())
-
-    def collect(self, limit: int):
-        out = []
-        for w in self._stream():
-            out.append(w)
-            if len(out) > limit:
-                return None
-        return out
-
-
-def _run_streamed(scenario: scenarios.Scenario, size: int) -> Transcript:
-    vis = scenario.visibility()
+    scenario.validate()
     actual = scenario.actual
-    protocol = scenario.protocol
+    if actual is None:
+        raise EngineError("scenario has a free actual world; use sweep instead")
     n = scenario.n_agents
-    if not scenario.constraint.contains(actual):
-        raise EngineError("actual world is not a member of the universe")
-    stream = _StreamedState(scenario.constraint, n, vis)
-    events: list[Event] = []
-    first_yes: dict[int, tuple[int, int]] = {}
-    stabilized: Optional[int] = None
-    current_size = size
-
-    if isinstance(protocol, scenarios.Circular):
-        order = protocol.order
-        pending: Optional[KnowledgeState] = None
-        for rnd in range(1, protocol.max_rounds + 1):
-            round_answers = []
-            round_eliminated = 0
-            round_new_yes = False
-            for pos, agent in enumerate(order):
-                turn = (rnd - 1) * n + pos + 1
-                if pending is not None:
-                    counts = _candidate_counts(pending, agent, vis)
-                    observed = vis.observed(agent)
-                    key = tuple(actual[j] for j in observed)
-                    answer = len(counts[key]) == 1
-                    kept = tuple(
-                        w
-                        for w in pending
-                        if (len(counts[tuple(w[j] for j in observed)]) == 1) == answer
-                    )
-                    if not kept:
-                        raise EmptyStateError("announcement inconsistent with state")
-                    round_eliminated += len(pending) - len(kept)
-                    pending = KnowledgeState(kept)
-                    post = len(pending)
-                else:
-                    observed, table = stream.turn_pass(agent)
-                    key = tuple(actual[j] for j in observed)
-                    answer = len(table[key][0]) == 1
-                    post = stream.apply_turn(agent, observed, table, answer)
-                    if post == 0:
-                        raise EmptyStateError("announcement inconsistent with state")
-                    round_eliminated += current_size - post
-                    current_size = post
-                    if post <= MATERIALIZE_AT:
-                        worlds = stream.collect(post)
-                        pending = KnowledgeState.from_worlds(worlds)
-                events.append(Event(rnd, turn, agent, answer, post))
-                round_answers.append(answer)
-                if answer and agent not in first_yes:
-                    first_yes[agent] = (rnd, turn)
-                    round_new_yes = True
-            if all(round_answers) or (round_eliminated == 0 and not round_new_yes):
-                stabilized = rnd
-                break
+    size = scenario.constraint.count_worlds(n)
+    if size > STREAM_THRESHOLD:
+        universe = _Lazy(scenario.constraint, n, (), size)
     else:
-        pending = None
-        for rnd in range(1, protocol.max_rounds + 1):
-            if pending is not None:
-                answers = answers_for_all(pending, vis)
-                announced = answers[actual]
-                kept = tuple(w for w in pending if answers[w] == announced)
-                if not kept:
-                    raise EmptyStateError("announcement inconsistent with state")
-                eliminated = len(pending) - len(kept)
-                pending = KnowledgeState(kept)
-                post = len(pending)
-            else:
-                tables, total = stream.round_pass()
-                announced = stream.answers_of(tables, actual)
-                post = stream.apply_round(tables, announced)
-                if post == 0:
-                    raise EmptyStateError("announcement inconsistent with state")
-                eliminated = total - post
-                current_size = post
-                if post <= MATERIALIZE_AT:
-                    worlds = stream.collect(post)
-                    pending = KnowledgeState.from_worlds(worlds)
-            new_yes = False
-            for i in range(n):
-                events.append(Event(rnd, rnd, i, announced[i], post))
-                if announced[i] and i not in first_yes:
-                    first_yes[i] = (rnd, rnd)
-                    new_yes = True
-            if all(announced) or (eliminated == 0 and not new_yes):
-                stabilized = rnd
-                break
-
-    eventual = _classify(n, first_yes, stabilized)
-    if pending is not None:
-        final = tuple(tuple(sorted({w[i] for w in pending})) for i in range(n))
-    else:
-        seen = [set() for _ in range(n)]
-        for w in stream._stream():
-            for i in range(n):
-                seen[i].add(w[i])
-        final = tuple(tuple(sorted(s)) for s in seen)
+        universe = scenario.universe()
+        if actual not in universe:
+            raise EngineError("actual world is not a member of the generated universe")
+    ((branch, stabilized),) = _play(scenario, universe, actual)
+    seen = [set() for _ in range(n)]
+    for w in branch.state:
+        for values, v in zip(seen, w):
+            values.add(v)
     return Transcript(
         scenario=scenario.name,
         agents=scenario.agents,
-        protocol="simultaneous" if isinstance(protocol, scenarios.Simultaneous) else "circular",
-        initial_size=size,
-        events=tuple(events),
-        eventual=eventual,
+        protocol="simultaneous" if isinstance(scenario.protocol, scenarios.Simultaneous) else "circular",
+        initial_size=len(universe),
+        events=branch.events,
+        eventual=_classify(n, branch.first_yes, stabilized),
         stabilized_at=stabilized,
-        final_candidates=final,
+        final_candidates=tuple(tuple(sorted(values)) for values in seen),
     )
 
 
@@ -445,121 +308,28 @@ class SweepReport:
         return tuple(r.world for r in self.rows if len(r.learners) == lo)
 
 
-class _Cell:
-    __slots__ = ("state", "events", "first_yes", "done", "round_meta")
-
-    def __init__(self, state, events, first_yes):
-        self.state = state
-        self.events = events
-        self.first_yes = first_yes
-        self.done = False
-        self.round_meta = None
-
-
 def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepReport:
     """Run every world of the family as the actual world.
 
-    Worlds sharing an announcement history share their whole continuation, so
-    the family is processed by partition refinement: each round (or turn)
-    splits the current cells by the truthful announcement, and each fragment is
-    exactly the post-filter state of the worlds inside it.  This is
-    semantically identical to calling run() per world.
+    Worlds that hear the same announcements share their whole continuation, so
+    the family is processed by partition refinement (Paige & Tarjan 1987): the
+    round driver keeps every part of every split, and each leaf is exactly the
+    final state of the worlds inside it.  This is semantically identical to
+    calling run() per world.
 
     orbit: None for per-world rows, "rotation" to merge rotation classes
     (representative is the lexicographically least rotation).
     """
     scenario.validate()
-    vis = scenario.visibility()
-    protocol = scenario.protocol
     n = scenario.n_agents
-    size = scenario.constraint.count_worlds(n)
-    if size > STREAM_THRESHOLD:
+    if scenario.constraint.count_worlds(n) > STREAM_THRESHOLD:
         raise EngineError("family too large to sweep without streaming support")
-    universe = scenario.universe()
-
-    cells = [_Cell(universe, [], {})]
-    simultaneous = isinstance(protocol, scenarios.Simultaneous)
-    order = None if simultaneous else protocol.order
-
-    for rnd in range(1, protocol.max_rounds + 1):
-        active = [c for c in cells if not c.done]
-        if not active:
-            break
-        if simultaneous:
-            new_cells = []
-            for cell in active:
-                answers = answers_for_all(cell.state, vis)
-                groups: dict[tuple[bool, ...], list[World]] = {}
-                for w in cell.state:
-                    groups.setdefault(answers[w], []).append(w)
-                for announced in sorted(groups):
-                    worlds = tuple(groups[announced])
-                    child = _Cell(
-                        KnowledgeState(worlds),
-                        cell.events
-                        + [Event(rnd, rnd, i, announced[i], len(worlds)) for i in range(n)],
-                        dict(cell.first_yes),
-                    )
-                    new_yes = False
-                    for i in range(n):
-                        if announced[i] and i not in child.first_yes:
-                            child.first_yes[i] = (rnd, rnd)
-                            new_yes = True
-                    no_elim = len(worlds) == len(cell.state)
-                    if all(announced) or (no_elim and not new_yes):
-                        child.done = True
-                    new_cells.append(child)
-            cells = [c for c in cells if c.done] + new_cells
-        else:
-            work = active
-            for cell in work:
-                cell.round_meta = (0, False, [])  # eliminated, new_yes, answers
-            for pos, agent in enumerate(order):
-                turn = (rnd - 1) * n + pos + 1
-                next_work = []
-                for cell in work:
-                    eliminated, had_new_yes, ans_list = cell.round_meta
-                    counts = _candidate_counts(cell.state, agent, vis)
-                    observed = vis.observed(agent)
-                    groups: dict[bool, list[World]] = {}
-                    for w in cell.state:
-                        a = len(counts[tuple(w[j] for j in observed)]) == 1
-                        groups.setdefault(a, []).append(w)
-                    for a in sorted(groups):
-                        worlds = tuple(groups[a])
-                        child = _Cell(
-                            KnowledgeState(worlds),
-                            cell.events + [Event(rnd, turn, agent, a, len(worlds))],
-                            dict(cell.first_yes),
-                        )
-                        new_yes = had_new_yes
-                        if a and agent not in child.first_yes:
-                            child.first_yes[agent] = (rnd, turn)
-                            new_yes = True
-                        child.round_meta = (
-                            eliminated + (len(cell.state) - len(worlds)),
-                            new_yes,
-                            ans_list + [a],
-                        )
-                        next_work.append(child)
-                work = next_work
-            for cell in work:
-                eliminated, new_yes, ans_list = cell.round_meta
-                if all(ans_list) or (eliminated == 0 and not new_yes):
-                    cell.done = True
-                cell.round_meta = None
-            cells = [c for c in cells if c.done] + work
-
     rows = []
-    for cell in cells:
-        stabilized = None
-        if cell.done:
-            stabilized = cell.events[-1].round if cell.events else None
-        eventual = _classify(n, cell.first_yes, stabilized)
-        learners = frozenset(i for i in range(n) if i in cell.first_yes)
-        digest = transcript_digest(cell.events)
-        for w in cell.state:
-            rows.append(SweepRow(w, eventual, learners, digest))
+    for branch, stabilized in _play(scenario, scenario.universe()):
+        eventual = _classify(n, branch.first_yes, stabilized)
+        learners = frozenset(branch.first_yes)
+        digest = transcript_digest(branch.events)
+        rows += [SweepRow(w, eventual, learners, digest) for w in branch.state]
     rows.sort(key=lambda r: r.world)
 
     if orbit == "rotation":

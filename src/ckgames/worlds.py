@@ -10,6 +10,8 @@ would have been made.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Iterable
 
 World = tuple[int, ...]
 
@@ -75,7 +77,7 @@ def _obs_key(agent: int, world: World, vis: VisibilityGraph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class KnowledgeState:
-    """A finite set of worlds plus a record of the announcements applied so far.
+    """A finite set of worlds: those still consistent with every announcement so far.
 
     Worlds are kept canonically ordered (lexicographically) so dumps and
     transcripts are reproducible.  The actual world must remain a member after
@@ -83,15 +85,11 @@ class KnowledgeState:
     """
 
     worlds: tuple[World, ...]
-    history: tuple[str, ...] = ()
     _members: frozenset[World] = field(default=None, repr=False, compare=False)
 
     @staticmethod
-    def from_worlds(worlds, history: tuple[str, ...] = ()) -> "KnowledgeState":
-        ordered = tuple(sorted(set(worlds)))
-        state = KnowledgeState(ordered, history)
-        object.__setattr__(state, "_members", frozenset(ordered))
-        return state
+    def from_worlds(worlds) -> "KnowledgeState":
+        return KnowledgeState(tuple(sorted(set(worlds))))
 
     def __post_init__(self):
         if self._members is None:
@@ -119,16 +117,62 @@ def knows_own(agent: int, world: World, state: KnowledgeState, vis: VisibilityGr
     return YES
 
 
-def _candidate_counts(state: KnowledgeState, agent: int, vis: VisibilityGraph) -> dict:
-    """Map observation key -> set of own values seen under it (capped at 2 members)."""
-    observed = vis.observed(agent)
-    values: dict[tuple[int, ...], set[int]] = {}
-    for w in state:
-        key = tuple(w[j] for j in observed)
-        vals = values.setdefault(key, set())
-        if len(vals) < 2:
-            vals.add(w[agent])
-    return values
+# ---------------------------------------------------------------------------
+# the announcement kernel: bucket worlds by each speaker's observation, then
+# split them by the truthful answers
+
+MIXED = -1  # marks an observation key under which the speaker's own value varies
+
+
+def _key_fn(observed: tuple[int, ...]) -> Callable[[World], object]:
+    # itemgetter of one index returns a bare value, not a 1-tuple; keys are only
+    # ever compared with keys made by the same function
+    return itemgetter(*observed) if observed else lambda w: ()
+
+
+def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> list:
+    """One pass over `worlds`: per speaker, (its observation-key function, table).
+
+    A table maps each observation key to [the speaker's own value, or MIXED when
+    it varies under that key, number of worlds with that key].  The speaker
+    knows its value exactly where the entry is not MIXED.  `worlds` may be any
+    iterable, including a lazily generated stream.
+    """
+    cols = [(agent, _key_fn(vis.observed(agent)), {}) for agent in speakers]
+    for w in worlds:
+        for agent, key, table in cols:
+            k = key(w)
+            entry = table.get(k)
+            if entry is None:
+                table[k] = [w[agent], 1]
+            else:
+                if entry[0] != w[agent]:
+                    entry[0] = MIXED
+                entry[1] += 1
+    return [(key, table) for _, key, table in cols]
+
+
+def answers_in(tables: list, world: World) -> tuple[bool, ...]:
+    """The speakers' truthful answers in `world`, from answer_tables."""
+    return tuple([table[key(world)][0] != MIXED for key, table in tables])
+
+
+def split(state: Iterable[World], speakers, vis: VisibilityGraph) -> dict:
+    """Group the worlds of `state` by the speakers' truthful answers.
+
+    Maps each answer tuple (in `speakers` order) to the list of worlds giving
+    it, each list in the order of `state`.
+    """
+    tables = answer_tables(state, speakers, vis)
+    columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
+    groups: dict[tuple[bool, ...], list[World]] = {}
+    for w, answers in zip(state, zip(*columns)):
+        group = groups.get(answers)
+        if group is None:
+            groups[answers] = [w]
+        else:
+            group.append(w)
+    return groups
 
 
 def answers_for_all(state: KnowledgeState, vis: VisibilityGraph) -> dict[World, tuple[bool, ...]]:
@@ -136,23 +180,20 @@ def answers_for_all(state: KnowledgeState, vis: VisibilityGraph) -> dict[World, 
 
     Equivalent to calling knows_own per agent per world but O(|state| * N).
     """
-    n = vis.n_agents
-    columns = []
-    for agent in range(n):
-        values = _candidate_counts(state, agent, vis)
-        observed = vis.observed(agent)
-        columns.append((observed, values))
-    out: dict[World, tuple[bool, ...]] = {}
-    for w in state:
-        out[w] = tuple(
-            len(values[tuple(w[j] for j in observed)]) == 1 for observed, values in columns
-        )
-    return out
+    tables = answer_tables(state, range(vis.n_agents), vis)
+    return {w: answers_in(tables, w) for w in state}
 
 
 def answer_vector(state: KnowledgeState, world: World, vis: VisibilityGraph) -> tuple[bool, ...]:
     """Per-agent knows_own for `world` against `state`."""
     return tuple(knows_own(i, world, state, vis) for i in range(vis.n_agents))
+
+
+def _kept(state: KnowledgeState, speakers, announced: tuple[bool, ...], vis) -> KnowledgeState:
+    kept = split(state, speakers, vis).get(announced)
+    if not kept:
+        raise EmptyStateError("announcement inconsistent with state")
+    return KnowledgeState(tuple(kept))
 
 
 def filter_simultaneous(
@@ -163,24 +204,11 @@ def filter_simultaneous(
     All hypothetical answers are computed against the state as it stood when the
     round was announced (synchronous semantics within a round).
     """
-    answers = answers_for_all(state, vis)
-    kept = tuple(w for w in state if answers[w] == announced)
-    if not kept:
-        raise EmptyStateError("announcement inconsistent with state")
-    label = "sim:" + "".join("Y" if a else "N" for a in announced)
-    return KnowledgeState(kept, state.history + (label,))
+    return _kept(state, range(vis.n_agents), tuple(announced), vis)
 
 
 def filter_turn(
     state: KnowledgeState, agent: int, answer: bool, vis: VisibilityGraph
 ) -> KnowledgeState:
     """Keep the worlds in which `agent` would have announced `answer`."""
-    values = _candidate_counts(state, agent, vis)
-    observed = vis.observed(agent)
-    kept = tuple(
-        w for w in state if (len(values[tuple(w[j] for j in observed)]) == 1) == answer
-    )
-    if not kept:
-        raise EmptyStateError("announcement inconsistent with state")
-    label = f"turn:{agent}:{'Y' if answer else 'N'}"
-    return KnowledgeState(kept, state.history + (label,))
+    return _kept(state, (agent,), (answer,), vis)

@@ -1,7 +1,6 @@
 """Exit codes, output formats, and the fixture verification gate."""
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -87,21 +86,6 @@ def test_verify_isolates_a_failing_fixture(tmp_path, capsys, monkeypatch, error)
 
 def test_verify_empty_dir(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
-
-
-def test_verify_threads_match_serial(tmp_path, capsys):
-    for name in ("intro_one_red", "intro_two_reds", "zeroone_two_zeros"):
-        (tmp_path / f"{name}.ck").write_text((FIXTURES / f"{name}.ck").read_text())
-        (tmp_path / f"{name}.expect").write_text((FIXTURES / f"{name}.expect").read_text())
-    assert main(["verify", str(tmp_path)]) == 0
-    serial = capsys.readouterr().out
-    os.environ["CK_THREADS"] = "4"
-    try:
-        assert main(["verify", str(tmp_path)]) == 0
-        threaded = capsys.readouterr().out
-    finally:
-        del os.environ["CK_THREADS"]
-    assert serial == threaded
 
 
 def test_sweep_requires_marker(capsys):

@@ -1,12 +1,13 @@
 """Protocol runs, sweeps, streaming, stability, and the profile evaluator."""
 
+from unittest import mock
+
 import pytest
 
 from ckgames import engine
 from ckgames.engine import (
     EngineError,
     Eventual,
-    default_max_rounds,
     profile_universe,
     run,
     run_profiles,
@@ -99,16 +100,21 @@ def test_fixpoint_soundness_extra_rounds_change_nothing():
     assert t1.eventual == t2.eventual
 
 
-def test_default_max_rounds():
-    assert default_max_rounds(7) == 9
+def test_fixpoint_waits_a_round_after_a_new_yes():
+    # round 2 eliminates no world but alice says YES for the first time, so the
+    # fixpoint is certified only by round 3
+    sc = Scenario("b", ("alice", "bob"), HatsAtLeast(R, 1, 2), Blind(frozenset({0})),
+                  Simultaneous(8), (R, R))
+    t = run(sc)
+    assert t.answers_by_round() == [(False, False), (True, False), (True, False)]
+    assert [e.state_size for e in t.events] == [2, 2, 2, 2, 2, 2]
+    assert t.stabilized_at == 3
+    assert t.eventual == (Eventual.learns(2, 2), Eventual.never())
 
 
 def test_eventual_knowledge_projection():
-    from ckgames.engine import eventual_knowledge
-
     sc = Scenario("ek", ("alice", "bob"), SumOrProduct(7), Full(), Simultaneous(8), (1, 6))
-    assert eventual_knowledge(sc) == run(sc).eventual
-    kinds = [e.kind for e in eventual_knowledge(sc)]
+    kinds = [e.kind for e in run(sc).eventual]
     assert kinds == ["learns", "never"]
 
 
@@ -165,23 +171,32 @@ def test_stability_rejects_capless_families():
         stability_check(sc, 10, 20)
 
 
+def streamed(sc):
+    # a budget below the 1,540-world universe: the run starts on the generator
+    # and materializes once the state fits
+    with mock.patch.object(engine, "STREAM_THRESHOLD", 100):
+        return run(sc)
+
+
 def test_streamed_run_agrees_with_materialized():
     sc = Scenario("line", tuple("abcde"), SumInSet((12, 13, 14)), NearLine(),
                   Circular((0, 1, 2, 3, 4), 4), (1, 10, 1, 1, 1))
     direct = run(sc)
-    streamed = engine._run_streamed(sc, sc.constraint.count_worlds(5))
-    assert direct.events == streamed.events
-    assert direct.eventual == streamed.eventual
-    assert direct.final_candidates == streamed.final_candidates
+    lazy = streamed(sc)
+    assert direct.initial_size == lazy.initial_size == 1540
+    assert direct.events == lazy.events
+    assert direct.eventual == lazy.eventual
+    assert direct.final_candidates == lazy.final_candidates
 
 
 def test_streamed_simultaneous_agrees():
     sc = Scenario("line", tuple("abcde"), SumInSet((12, 13, 14)), NearLine(),
                   Simultaneous(4), (1, 10, 1, 1, 1))
     direct = run(sc)
-    streamed = engine._run_streamed(sc, sc.constraint.count_worlds(5))
-    assert direct.events == streamed.events
-    assert direct.eventual == streamed.eventual
+    lazy = streamed(sc)
+    assert direct.initial_size == lazy.initial_size == 1540
+    assert direct.events == lazy.events
+    assert direct.eventual == lazy.eventual
 
 
 def test_profile_evaluator_agrees_with_engine():

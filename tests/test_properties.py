@@ -1,16 +1,23 @@
 """Invariant properties over randomized small scenarios."""
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from ckgames import dsl
-from ckgames.engine import profile_universe, run, run_profiles
+from ckgames import dsl, engine
+from ckgames.engine import profile_universe, run, run_profiles, sweep, transcript_digest
 from ckgames.scenarios import (
+    Blind,
     Circular,
+    FarCircle,
     Full,
     HatsAtLeast,
     MaxDiffExact,
+    NearCircle,
+    NearLine,
     Scenario,
     Simultaneous,
+    SumInSet,
     gen_universe,
     gen_visibility,
 )
@@ -22,6 +29,7 @@ from ckgames.worlds import (
     filter_simultaneous,
     filter_turn,
     knows_own,
+    split,
 )
 
 
@@ -68,6 +76,58 @@ def test_yes_permanence(case):
     smaller = filter_simultaneous(state, announced, vis)
     for i in yes_before:
         assert knows_own(i, actual, smaller, vis)
+
+
+@given(world_states(), st.data())
+def test_split_matches_reference(case, data):
+    state, _, vis = case
+    speakers = data.draw(st.lists(st.sampled_from(range(vis.n_agents)), min_size=1, unique=True))
+    expected = {}
+    for w in state:
+        answers = tuple(knows_own(a, w, state, vis) for a in speakers)
+        expected.setdefault(answers, []).append(w)
+    assert split(state, speakers, vis) == expected
+
+
+@st.composite
+def small_families(draw):
+    """A hat or sum family with n 3-5 under any sight model and either protocol."""
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        colors = draw(st.integers(2, 3 if n < 5 else 2))
+        constraint = HatsAtLeast(draw(st.integers(0, colors - 1)), draw(st.integers(1, n)), colors)
+    else:
+        constraint = SumInSet(tuple(draw(st.sets(st.integers(n, n + 4), min_size=1, max_size=2))))
+    sight = draw(st.one_of(
+        st.sampled_from([Full(), NearCircle(), FarCircle(), NearLine()]),
+        st.builds(Blind, st.frozensets(st.integers(0, n - 1), min_size=1)),
+    ))
+    if draw(st.booleans()):
+        protocol = Simultaneous(draw(st.integers(1, 6)))
+    else:
+        protocol = Circular(tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 4)))
+    return Scenario("fam", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_families(), st.data())
+def test_run_streamed_run_and_sweep_agree(family, data):
+    # every world three ways: a materialized run, a run that starts on the
+    # generator (a world budget below the universe size) and its sweep row
+    report = sweep(family)
+    budget = data.draw(st.integers(0, len(report.rows) - 1))
+    for row in report.rows:
+        sc = Scenario(family.name, family.agents, family.constraint, family.sight,
+                      family.protocol, row.world)
+        direct = run(sc)
+        with mock.patch.object(engine, "STREAM_THRESHOLD", budget):
+            lazy = run(sc)
+        assert lazy.initial_size == direct.initial_size
+        assert lazy.events == direct.events
+        assert lazy.eventual == direct.eventual == row.eventual
+        assert lazy.stabilized_at == direct.stabilized_at
+        assert lazy.final_candidates == direct.final_candidates
+        assert transcript_digest(direct.events) == row.digest
 
 
 @st.composite
