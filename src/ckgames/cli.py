@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
-    except (scenarios.GenerationError, engine.EngineError) as e:
+    except (worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
 
@@ -175,11 +175,7 @@ def cmd_sweep(args) -> int:
     if sc.actual is not None:
         print(f"error: {args.path} fixes an actual world; replace it with 'sweep'", file=sys.stderr)
         return USAGE
-    try:
-        report = engine.sweep(sc, orbit="rotation" if args.orbit else None)
-    except engine.EngineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
+    report = engine.sweep(sc, orbit="rotation" if args.orbit else None)
     lo = report.min_learners()
     label = sc.value_label
     print(f"scenario: {sc.name}   configurations: {len(report.rows)}")

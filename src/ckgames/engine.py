@@ -110,8 +110,9 @@ STREAM_THRESHOLD = 500_000
 
 class _Branch(NamedTuple):
     state: object  # KnowledgeState, or _Lazy while too large to hold
-    events: tuple[Event, ...]
-    first_yes: dict[int, tuple[int, int]]
+    events: tuple[tuple, ...]  # Event fields as plain tuples
+    first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
+    digest: object  # a sweep's running sha256 of transcript_digest's text; None in a run
 
 
 class _Lazy:
@@ -176,7 +177,7 @@ def _play(
     vis = scenario.visibility()
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
-    live = [_Branch(root, (), {})]
+    live = [_Branch(root, (), {}, hashlib.sha256() if actual is None else None)]
     leaves = []
     for rnd in range(1, protocol.max_rounds + 1):
         if not live:
@@ -192,7 +193,7 @@ def _play(
                 ]
             for branch in branches:
                 said = branch.events[len(start.events):]
-                if all(e.answer for e in said) or (
+                if all(answer for *_, answer, _ in said) or (
                     len(branch.state) == len(start.state)
                     and len(branch.first_yes) == len(start.first_yes)
                 ):
@@ -216,30 +217,34 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
             for answers, worlds in split(branch.state, speakers, vis).items()
             if actual is None or actual in worlds
         ]
+    learned = Eventual.learns(rnd, turn)
+    heads = [f"{rnd},{turn},{agent}," for agent in speakers] if branch.digest is not None else None
     for answers, state in parts:
         first_yes = dict(branch.first_yes)
         for agent, answer in zip(speakers, answers):
             if answer:
-                first_yes.setdefault(agent, (rnd, turn))
-        events = tuple(
-            Event(rnd, turn, agent, answer, len(state))
-            for agent, answer in zip(speakers, answers)
-        )
-        yield _Branch(state, branch.events + events, first_yes)
+                first_yes.setdefault(agent, learned)
+        size = len(state)
+        events = tuple([
+            (rnd, turn, agent, answer, size) for agent, answer in zip(speakers, answers)
+        ])
+        digest = branch.digest
+        if digest is not None:  # extends transcript_digest's text by this step's events
+            digest = digest.copy()
+            yes, no = f"YES,{size}", f"NO,{size}"
+            text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, answers)])
+            digest.update((";" + text if branch.events else text).encode("ascii"))
+        yield _Branch(state, branch.events + events, first_yes, digest)
+
+
+_NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
 
 
 def _classify(
-    n: int, first_yes: dict[int, tuple[int, int]], stabilized: Optional[int]
+    n: int, first_yes: dict[int, Eventual], stabilized: Optional[int]
 ) -> tuple[Eventual, ...]:
-    out = []
-    for i in range(n):
-        if i in first_yes:
-            out.append(Eventual.learns(*first_yes[i]))
-        elif stabilized is not None:
-            out.append(Eventual.never())
-        else:
-            out.append(Eventual.unknown())
-    return tuple(out)
+    rest = _NEVER if stabilized is not None else _UNKNOWN
+    return tuple([first_yes.get(i, rest) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def run(scenario: scenarios.Scenario) -> Transcript:
         agents=scenario.agents,
         protocol="simultaneous" if isinstance(scenario.protocol, scenarios.Simultaneous) else "circular",
         initial_size=len(universe),
-        events=branch.events,
+        events=tuple(Event(*e) for e in branch.events),
         eventual=_classify(n, branch.first_yes, stabilized),
         stabilized_at=stabilized,
         final_candidates=tuple(tuple(sorted(values)) for values in seen),
@@ -328,7 +333,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     for branch, stabilized in _play(scenario, scenario.universe()):
         eventual = _classify(n, branch.first_yes, stabilized)
         learners = frozenset(branch.first_yes)
-        digest = transcript_digest(branch.events)
+        digest = branch.digest.hexdigest()
         rows += [SweepRow(w, eventual, learners, digest) for w in branch.state]
     rows.sort(key=lambda r: r.world)
 

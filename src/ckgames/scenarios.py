@@ -193,7 +193,10 @@ class SumOrProduct:
         return sum(w) == self.announced or math.prod(w) == self.announced
 
     def count_worlds(self, n: int) -> int:
-        return sum(1 for _ in self.generate(n))
+        # the compositions of `announced`, plus the factorizations that are not also one
+        m = self.announced
+        sums = math.comb(m - 1, n - 1) if m >= 1 else 0
+        return sums + sum(1 for f in _factorizations(m, n) if sum(f) != m)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ class VisibilityGraph:
     """Per-agent sets of observed agents.  No agent sees itself."""
 
     sees: tuple[frozenset[int], ...]
+    # each agent's observation-key function, built once; not part of equality or hashing
+    keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, seen in enumerate(self.sees):
@@ -48,6 +50,7 @@ class VisibilityGraph:
             for j in seen:
                 if not 0 <= j < len(self.sees):
                     raise ContractViolation(f"agent {i} sees out-of-range agent {j}")
+        object.__setattr__(self, "keys", tuple(_key_fn(tuple(sorted(seen))) for seen in self.sees))
 
     @property
     def n_agents(self) -> int:
@@ -91,14 +94,12 @@ class KnowledgeState:
     def from_worlds(worlds) -> "KnowledgeState":
         return KnowledgeState(tuple(sorted(set(worlds))))
 
-    def __post_init__(self):
-        if self._members is None:
-            object.__setattr__(self, "_members", frozenset(self.worlds))
-
     def __len__(self) -> int:
         return len(self.worlds)
 
     def __contains__(self, world: World) -> bool:
+        if self._members is None:  # built on the first membership test
+            object.__setattr__(self, "_members", frozenset(self.worlds))
         return world in self._members
 
     def __iter__(self):
@@ -138,7 +139,7 @@ def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> li
     knows its value exactly where the entry is not MIXED.  `worlds` may be any
     iterable, including a lazily generated stream.
     """
-    cols = [(agent, _key_fn(vis.observed(agent)), {}) for agent in speakers]
+    cols = [(agent, vis.keys[agent], {}) for agent in speakers]
     for w in worlds:
         for agent, key, table in cols:
             k = key(w)
@@ -163,6 +164,8 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph) -> dict:
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
     it, each list in the order of `state`.
     """
+    if len(state) == 1:  # every key matches one world, so every speaker knows
+        return {(YES,) * len(speakers): list(state)}
     tables = answer_tables(state, speakers, vis)
     columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
     groups: dict[tuple[bool, ...], list[World]] = {}
@@ -211,4 +214,6 @@ def filter_turn(
     state: KnowledgeState, agent: int, answer: bool, vis: VisibilityGraph
 ) -> KnowledgeState:
     """Keep the worlds in which `agent` would have announced `answer`."""
+    if not 0 <= agent < vis.n_agents:  # a negative index would read another agent's key
+        raise ContractViolation(f"agent index {agent} out of range")
     return _kept(state, (agent,), (answer,), vis)

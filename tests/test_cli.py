@@ -84,6 +84,23 @@ def test_verify_isolates_a_failing_fixture(tmp_path, capsys, monkeypatch, error)
     assert "injected failure" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", str(FIXTURES / "intro_two_reds.ck")],
+    ["stability", str(FIXTURES / "puzzle9_two_consecutive.ck")],
+    ["sweep", str(SWEEPS / "emperor10.ck")],
+])
+def test_contract_violation_is_a_clean_refusal(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise ContractViolation("injected violation")
+
+    monkeypatch.setattr(engine, "run", fail)  # stability_check runs through engine.run
+    monkeypatch.setattr(engine, "sweep", fail)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: injected violation" in err
+    assert "Traceback" not in err
+
+
 def test_verify_empty_dir(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
 

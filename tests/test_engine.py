@@ -1,5 +1,7 @@
 """Protocol runs, sweeps, streaming, stability, and the profile evaluator."""
 
+import dataclasses
+import math
 from unittest import mock
 
 import pytest
@@ -20,6 +22,7 @@ from ckgames.scenarios import (
     Blind,
     BoundConfig,
     Circular,
+    FarCircle,
     Full,
     HatsAtLeast,
     HatsExactly,
@@ -145,6 +148,20 @@ def test_sweep_matches_individual_runs():
                                 protocol, row.world))
             assert row.eventual == solo.eventual, row.world
             assert row.digest == transcript_digest(solo.events)
+
+
+@pytest.mark.parametrize("n,k", [(7, 2), (7, 3), (8, 2), (8, 3)])
+def test_far_circle_sweep_rows_match_runs(n, k):
+    # far-circle sight at n 7-8 leaves cells of one world and of several, so a
+    # sweep takes both the one-world and the table split on its way to a leaf
+    family = Scenario("far", tuple(f"a{i}" for i in range(n)), HatsExactly(R, k, 2),
+                      FarCircle(), Simultaneous(8), None)
+    report = sweep(family)
+    assert len(report.rows) == math.comb(n, k)
+    for row in report.rows:
+        solo = run(dataclasses.replace(family, actual=row.world))
+        assert row.digest == transcript_digest(solo.events), row.world
+        assert row.eventual == solo.eventual, row.world
 
 
 def test_sweep_rotation_orbits():

@@ -18,6 +18,7 @@ from ckgames.scenarios import (
     Scenario,
     Simultaneous,
     SumInSet,
+    SumOrProduct,
     gen_universe,
     gen_visibility,
 )
@@ -87,6 +88,13 @@ def test_split_matches_reference(case, data):
         answers = tuple(knows_own(a, w, state, vis) for a in speakers)
         expected.setdefault(answers, []).append(w)
     assert split(state, speakers, vis) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.integers(2, 5))
+def test_sum_or_product_count_matches_enumeration(announced, n):
+    constraint = SumOrProduct(announced)
+    assert constraint.count_worlds(n) == len(list(constraint.generate(n)))
 
 
 @st.composite

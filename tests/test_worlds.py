@@ -1,5 +1,7 @@
 """Core semantics: observations, knowledge, and announcement filtering."""
 
+import itertools
+
 import pytest
 
 from ckgames.scenarios import (
@@ -16,12 +18,14 @@ from ckgames.worlds import (
     ContractViolation,
     EmptyStateError,
     KnowledgeState,
+    VisibilityGraph,
     answer_vector,
     answers_for_all,
     filter_simultaneous,
     filter_turn,
     knows_own,
     observe,
+    split,
 )
 
 R, B = 0, 1
@@ -77,6 +81,14 @@ def test_knows_own_requires_membership():
     vis = gen_visibility(Full(), 3)
     with pytest.raises(ContractViolation):
         knows_own(0, (B, B, B), intro_universe(), vis)
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_filter_turn_bad_agent_index(agent):
+    vis = gen_visibility(Full(), 3)
+    for state in (intro_universe(), KnowledgeState(((R, B, B),))):
+        with pytest.raises(ContractViolation):
+            filter_turn(state, agent, True, vis)
 
 
 def test_answer_vector_two_reds_all_no():
@@ -153,3 +165,26 @@ def test_filter_turn_maxdiff_first_no():
 def test_state_canonical_order():
     state = KnowledgeState.from_worlds([(1, 0), (0, 1), (1, 0)])
     assert state.worlds == ((0, 1), (1, 0))
+
+
+def test_one_world_split_is_all_yes():
+    # alone in its state, a world pins every speaker's value, a blind speaker's too
+    vis = gen_visibility(Blind(frozenset({1})), 4)
+    world = (R, B, B, R)
+    state = KnowledgeState((world,))
+    for r in range(1, 5):
+        for speakers in itertools.combinations(range(4), r):
+            answers = tuple(knows_own(a, world, state, vis) for a in speakers)
+            assert answers == (True,) * r
+            assert split(state, speakers, vis) == {answers: [world]}
+
+
+def test_visibility_equality_ignores_key_functions():
+    a = gen_visibility(NearCircle(), 5)
+    b = VisibilityGraph(tuple(a.sees))
+    assert a.keys[0] is not b.keys[0]  # each graph builds its own
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert "keys" not in repr(a)
+    assert a != VisibilityGraph(tuple(a.sees[:4]) + (frozenset({0}),))
+    world = (0, 1, 2, 3, 4)
+    assert [a.keys[i](world) for i in range(5)] == [(1, 4), (0, 2), (1, 3), (2, 4), (0, 3)]
