@@ -112,7 +112,22 @@ class _Branch(NamedTuple):
     state: object  # KnowledgeState, or _Lazy while too large to hold
     events: tuple[tuple, ...]  # Event fields as plain tuples
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
-    digest: object  # a sweep's running sha256 of transcript_digest's text; None in a run
+    step: int  # rotating the seats by a multiple of step leaves the cell as it is; n: by none
+    images: Optional[dict]  # rotation k -> running sha256 of the k-rotated cell's digest text
+
+
+def _rot(seq: tuple, k: int) -> tuple:
+    """seq rotated by k seats: _rot(seq, k)[i] == seq[(i - k) % len(seq)]."""
+    k %= len(seq)
+    return seq[-k:] + seq[:-k]
+
+
+def _rotation_invariant(vis: VisibilityGraph, universe: KnowledgeState) -> bool:
+    """True iff rotating every seat by one maps the sight graph and the universe onto themselves."""
+    n = vis.n_agents
+    return all(
+        vis.sees[(i + 1) % n] == {(j + 1) % n for j in vis.sees[i]} for i in range(n)
+    ) and all(_rot(w, 1) in universe for w in universe)
 
 
 class _Lazy:
@@ -171,13 +186,18 @@ def _play(
     actual world only the child holding it is kept.  A branch stops when every
     answer of a round was YES, or when the round left its size and its number
     of learners unchanged (a certified fixpoint).
+
+    A sweep of a game that rotating the seats leaves unchanged keeps one branch
+    per rotation orbit; its `images` are the rotations it stands for (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
     vis = scenario.visibility()
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
-    live = [_Branch(root, (), {}, hashlib.sha256() if actual is None else None)]
+    symmetric = actual is None and simultaneous and _rotation_invariant(vis, root)
+    images = {0: hashlib.sha256()} if actual is None else None
+    live = [_Branch(root, (), {}, 1 if symmetric else n, images)]
     leaves = []
     for rnd in range(1, protocol.max_rounds + 1):
         if not live:
@@ -207,7 +227,9 @@ def _play(
 def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
     """One child per part of the branch's state after `speakers` answer truthfully.
 
-    With an actual world, only the child holding it.
+    With an actual world, only the child holding it.  Parts whose answers are
+    rotations of each other by a multiple of the branch's step are rotations of
+    each other too, so only the first of them is kept; it stands for the rest.
     """
     if isinstance(branch.state, _Lazy):
         parts = [branch.state.narrowed(speakers, vis, actual)]
@@ -218,8 +240,14 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
-    heads = [f"{rnd},{turn},{agent}," for agent in speakers] if branch.digest is not None else None
+    n, step = vis.n_agents, branch.step
+    heads = [f"{rnd},{turn},{agent}," for agent in speakers] if branch.images is not None else None
+    kept = set()
     for answers, state in parts:
+        if answers in kept:
+            continue
+        kept.update(_rot(answers, t) for t in range(0, n, step))
+        stab = next((h for h in range(step, n, step) if _rot(answers, h) == answers), n)
         first_yes = dict(branch.first_yes)
         for agent, answer in zip(speakers, answers):
             if answer:
@@ -228,13 +256,17 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
         events = tuple([
             (rnd, turn, agent, answer, size) for agent, answer in zip(speakers, answers)
         ])
-        digest = branch.digest
-        if digest is not None:  # extends transcript_digest's text by this step's events
-            digest = digest.copy()
+        images = None
+        if branch.images is not None:  # extends each image's transcript_digest text by this step
+            images = {}
             yes, no = f"YES,{size}", f"NO,{size}"
-            text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, answers)])
-            digest.update((";" + text if branch.events else text).encode("ascii"))
-        yield _Branch(state, branch.events + events, first_yes, digest)
+            for k, digest in branch.images.items():
+                for t in range(0, stab, step):
+                    said = _rot(answers, k + t)
+                    text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, said)])
+                    image = images[(k + t) % n] = digest.copy()
+                    image.update((";" + text if branch.events else text).encode("ascii"))
+        yield _Branch(state, branch.events + events, first_yes, stab, images)
 
 
 _NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
@@ -322,9 +354,19 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     final state of the worlds inside it.  This is semantically identical to
     calling run() per world.
 
+    A simultaneous game that rotating every seat by one leaves unchanged (each
+    agent sees the rotated seats, and the universe holds every rotated world,
+    as with circle or full sight over hats) is refined one cell per rotation
+    orbit (Emerson & Sistla 1996).  The rows of the other cells are the
+    representative's worlds, eventual tuple and learners rotated, each with the
+    digest of its own rotated announcements.  Circular turns, line sight, blind
+    agents and universes not closed under rotation refine every cell.
+
     orbit: None for per-world rows, "rotation" to merge rotation classes
     (representative is the lexicographically least rotation).
     """
+    if orbit not in (None, "rotation"):
+        raise EngineError(f"unknown orbit {orbit!r}; use None or 'rotation'")
     scenario.validate()
     n = scenario.n_agents
     if scenario.constraint.count_worlds(n) > STREAM_THRESHOLD:
@@ -332,9 +374,10 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     rows = []
     for branch, stabilized in _play(scenario, scenario.universe()):
         eventual = _classify(n, branch.first_yes, stabilized)
-        learners = frozenset(branch.first_yes)
-        digest = branch.digest.hexdigest()
-        rows += [SweepRow(w, eventual, learners, digest) for w in branch.state]
+        for k, digest in branch.images.items():
+            turned, learners = _rot(eventual, k), frozenset((a + k) % n for a in branch.first_yes)
+            digest = digest.hexdigest()
+            rows += [SweepRow(_rot(w, k), turned, learners, digest) for w in branch.state]
     rows.sort(key=lambda r: r.world)
 
     if orbit == "rotation":
@@ -357,7 +400,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
 
 
 def _min_rotation(w: World) -> World:
-    return min(tuple(w[i:] + w[:i]) for i in range(len(w)))
+    return min(_rot(w, k) for k in range(len(w)))
 
 
 # ---------------------------------------------------------------------------

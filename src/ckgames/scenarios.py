@@ -35,9 +35,7 @@ class HatsAtLeast:
     n_colors: int
 
     def generate(self, n: int) -> Iterator[World]:
-        for w in _tuples(range(self.n_colors), n):
-            if w.count(self.color) >= self.count:
-                yield w
+        return _hat_tuples(self.n_colors, n, self.color, self.count, n)
 
     def contains(self, w: World) -> bool:
         return (
@@ -60,9 +58,7 @@ class HatsExactly:
     n_colors: int
 
     def generate(self, n: int) -> Iterator[World]:
-        for w in _tuples(range(self.n_colors), n):
-            if w.count(self.color) == self.count:
-                yield w
+        return _hat_tuples(self.n_colors, n, self.color, self.count, self.count)
 
     def contains(self, w: World) -> bool:
         return (
@@ -70,6 +66,8 @@ class HatsExactly:
         )
 
     def count_worlds(self, n: int) -> int:
+        if self.count > n:  # the power below would be negative
+            return 0
         return math.comb(n, self.count) * (self.n_colors - 1) ** (n - self.count)
 
 
@@ -223,9 +221,7 @@ class ZeroOne:
     """Values in {0, 1} with at least one zero."""
 
     def generate(self, n: int) -> Iterator[World]:
-        for w in _tuples((0, 1), n):
-            if 0 in w:
-                yield w
+        return _hat_tuples(2, n, 0, 1, n)
 
     def contains(self, w: World) -> bool:
         return all(v in (0, 1) for v in w) and 0 in w
@@ -246,9 +242,21 @@ Constraint = (
 )
 
 
-def _tuples(values, n: int) -> Iterator[World]:
-    """All n-tuples over `values`, ascending lexicographically."""
-    return itertools.product(tuple(values), repeat=n)
+def _hat_tuples(n_colors: int, n: int, color: int, lo: int, hi: int) -> Iterator[World]:
+    """n-tuples over range(n_colors) with lo to hi entries equal to `color`, ascending.
+
+    Meet in the middle: each head over the first n - n//2 seats is followed by
+    the tails, kept in order, whose count of `color` brings the total into range.
+    """
+    half = n // 2
+    tails = [(t, t.count(color)) for t in itertools.product(range(n_colors), repeat=half)]
+    fitting: dict[int, list[World]] = {}  # a head's count of `color` -> the tails it takes
+    for head in itertools.product(range(n_colors), repeat=n - half):
+        m = head.count(color)
+        if m not in fitting:
+            fitting[m] = [t for t, c in tails if lo <= m + c <= hi]
+        for tail in fitting[m]:
+            yield head + tail
 
 
 def _window_tuples(lo: int, d: int, n: int) -> Iterator[World]:

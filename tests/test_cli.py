@@ -1,5 +1,6 @@
 """Exit codes, output formats, and the fixture verification gate."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -113,6 +114,24 @@ def test_sweep_emperor(capsys):
     assert main(["sweep", str(SWEEPS / "emperor10.ck"), "--orbit"]) == 0
     out = capsys.readouterr().out
     assert "minimum learners: 8" in out
+
+
+# sha256 of the stdout of `ck sweep`, recorded before sweeps of rotation-symmetric
+# games refined one cell per rotation orbit; consecutive4 has orbits whose members
+# learn differently, so --orbit refuses it with exit 2 and prints nothing
+SWEEP_STDOUT = {
+    ("consecutive4", False): (0, "f389fb6c3ad9bdfe03ac4c29ec4b94952087cda19cf9dfc18ca6ee092b353b37"),
+    ("consecutive4", True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("emperor10", False): (0, "ba104311b54aea46613798c723af3360972350bdb23cef48e9a19224e151097a"),
+    ("emperor10", True): (0, "9a67035a9f8a7999de1e22fb4faa55493900230012946e4211ee52cb585986da"),
+}
+
+
+@pytest.mark.parametrize("name,orbit", sorted(SWEEP_STDOUT))
+def test_sweep_stdout_is_pinned(capsys, name, orbit):
+    code = main(["sweep", str(SWEEPS / f"{name}.ck")] + (["--orbit"] if orbit else []))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == SWEEP_STDOUT[name, orbit]
 
 
 def test_run_rejects_sweep_scenario(capsys):

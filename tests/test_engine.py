@@ -27,6 +27,7 @@ from ckgames.scenarios import (
     HatsAtLeast,
     HatsExactly,
     MaxDiffExact,
+    NearCircle,
     NearLine,
     Scenario,
     Simultaneous,
@@ -170,6 +171,86 @@ def test_sweep_rotation_orbits():
     report = sweep(family, orbit="rotation")
     assert len(report.rows) == 1
     assert report.rows[0].orbit_size == 4
+
+
+# families with periodic worlds, so that cells fixed by rotating the seats by
+# a half, a third or a quarter of the circle occur
+PERIODIC = [(6, HatsExactly(R, 2, 2)), (6, HatsExactly(R, 3, 2)), (8, HatsExactly(R, 2, 2)),
+            (8, HatsExactly(R, 4, 2)), (9, HatsExactly(R, 3, 2)), (6, HatsAtLeast(R, 1, 2)),
+            (8, HatsAtLeast(R, 1, 2))]
+
+
+def periodic(n, constraint, sight, protocol):
+    return Scenario("per", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, None)
+
+
+def assert_rows_match_runs(family):
+    report = sweep(family)
+    assert [r.world for r in report.rows] == list(family.universe())
+    for row in report.rows:
+        solo = run(dataclasses.replace(family, actual=row.world))
+        assert row.digest == transcript_digest(solo.events), row.world
+        assert row.eventual == solo.eventual, row.world
+        assert row.learners == solo.learners(), row.world
+
+
+@pytest.mark.parametrize("sight", [NearCircle(), FarCircle(), Full()], ids=repr)
+@pytest.mark.parametrize("n,constraint", PERIODIC, ids=lambda v: repr(v))
+def test_rotation_quotient_rows_match_runs(n, constraint, sight):
+    assert_rows_match_runs(periodic(n, constraint, sight, Simultaneous(10)))
+
+
+def test_rotation_quotient_has_stabilizers_of_order_2_3_4():
+    # a leaf fixed by rotating the seats by `step` has a stabilizer of order n // step
+    orders = set()
+    for sight in (NearCircle(), FarCircle(), Full()):
+        for n, constraint in PERIODIC:
+            family = periodic(n, constraint, sight, Simultaneous(10))
+            orders |= {n // branch.step for branch, _ in engine._play(family, family.universe())}
+    assert {2, 3, 4} <= orders
+
+
+@pytest.mark.parametrize("sight", [NearCircle(), FarCircle(), Full()], ids=repr)
+@pytest.mark.parametrize("n,constraint", PERIODIC, ids=lambda v: repr(v))
+def test_rotation_orbit_rows_group_per_world_runs(n, constraint, sight):
+    family = periodic(n, constraint, sight, Simultaneous(10))
+    classes = {}
+    for w in family.universe():  # ascending, so each class's first member is its least
+        classes.setdefault(min(w[k:] + w[:k] for k in range(n)), []).append(w)
+    expected = []
+    for rep in sorted(classes):
+        solo = run(dataclasses.replace(family, actual=min(classes[rep])))
+        expected.append((rep, solo.eventual, solo.learners(), transcript_digest(solo.events),
+                         len(classes[rep])))
+    rows = sweep(family, orbit="rotation").rows
+    assert [(r.world, r.eventual, r.learners, r.digest, r.orbit_size) for r in rows] == expected
+
+
+@pytest.mark.parametrize("sight,protocol", [
+    (FarCircle(), Circular(tuple(range(6)), 6)),
+    (NearLine(), Simultaneous(10)),
+    (Blind(frozenset({0})), Simultaneous(10)),
+], ids=["circular", "nearline", "blind"])
+@pytest.mark.parametrize("n,constraint", PERIODIC[:-1], ids=lambda v: repr(v))
+def test_games_without_rotation_symmetry_match_runs(n, constraint, sight, protocol):
+    if isinstance(protocol, Circular):
+        protocol = Circular(tuple(range(n)), protocol.max_rounds)
+    assert_rows_match_runs(periodic(n, constraint, sight, protocol))
+
+
+def test_rotation_quotient_splits_fewer_cells(monkeypatch):
+    calls = []
+    real = engine.split
+    monkeypatch.setattr(engine, "split", lambda *args: calls.append(1) or real(*args))
+    report = sweep(periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8)))
+    assert len(calls) < len({r.digest for r in report.rows})
+
+
+def test_sweep_rejects_unknown_orbit():
+    family = periodic(6, HatsExactly(R, 2, 2), FarCircle(), Simultaneous(8))
+    for orbit in ("rotations", "", "reflection"):
+        with pytest.raises(EngineError, match="orbit"):
+            sweep(family, orbit=orbit)
 
 
 def test_stability_pass_and_fail():

@@ -9,9 +9,12 @@ from ckgames.engine import profile_universe, run, run_profiles, sweep, transcrip
 from ckgames.scenarios import (
     Blind,
     Circular,
+    ConsecutiveDistinct,
     FarCircle,
     Full,
     HatsAtLeast,
+    HatsExactly,
+    MaxDiffAtMost,
     MaxDiffExact,
     NearCircle,
     NearLine,
@@ -19,6 +22,7 @@ from ckgames.scenarios import (
     Simultaneous,
     SumInSet,
     SumOrProduct,
+    ZeroOne,
     gen_universe,
     gen_visibility,
 )
@@ -95,6 +99,42 @@ def test_split_matches_reference(case, data):
 def test_sum_or_product_count_matches_enumeration(announced, n):
     constraint = SumOrProduct(announced)
     assert constraint.count_worlds(n) == len(list(constraint.generate(n)))
+
+
+@st.composite
+def small_constraints(draw):
+    """(a constraint of any class, an agent count) small enough to enumerate."""
+    kind = draw(st.sampled_from(["at_least", "exactly", "max_diff", "at_most",
+                                 "consecutive", "sum_or_product", "sum_in_set", "zero_one"]))
+    if kind in ("at_least", "exactly"):
+        colors = draw(st.integers(1, 3))
+        n = draw(st.integers(1, 7 if colors < 3 else 6))
+        hats = HatsAtLeast if kind == "at_least" else HatsExactly
+        return hats(draw(st.integers(0, colors - 1)), draw(st.integers(0, n + 1)), colors), n
+    if kind in ("max_diff", "at_most"):
+        diff = draw(st.integers(0, 3))
+        cap = draw(st.integers(diff, diff + 4))
+        return (MaxDiffExact if kind == "max_diff" else MaxDiffAtMost)(diff, cap), draw(st.integers(1, 4))
+    if kind == "consecutive":
+        n = draw(st.integers(2, 5))
+        return ConsecutiveDistinct(draw(st.integers(n - 1, n + 2))), n
+    if kind == "sum_or_product":
+        return SumOrProduct(draw(st.integers(1, 30))), draw(st.integers(2, 4))
+    if kind == "sum_in_set":
+        return SumInSet(tuple(draw(st.sets(st.integers(1, 12), min_size=1, max_size=3)))), draw(st.integers(1, 4))
+    return ZeroOne(), draw(st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_constraints())
+def test_generate_is_sorted_members_and_counted(case):
+    # count_worlds is closed-form and generate streams: both must describe one
+    # strictly increasing list of members
+    constraint, n = case
+    worlds = list(constraint.generate(n))
+    assert constraint.count_worlds(n) == len(worlds)
+    assert all(a < b for a, b in zip(worlds, worlds[1:]))
+    assert all(len(w) == n and constraint.contains(w) for w in worlds)
 
 
 @st.composite

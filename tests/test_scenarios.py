@@ -72,6 +72,14 @@ def test_generators_lexicographic_and_consistent():
         assert all(c.contains(w) for w in ws), c
 
 
+def test_more_hats_of_a_color_than_agents_is_empty():
+    # one colour cannot fill fewer seats than it is announced on; the count must
+    # be the integer 0, not a float or a division error
+    for c in (HatsExactly(0, 3, 1), HatsExactly(0, 4, 2), HatsAtLeast(1, 4, 3)):
+        assert list(c.generate(2)) == []
+        assert c.count_worlds(2) == 0 and type(c.count_worlds(2)) is int
+
+
 def test_maxdiff_exact_semantics():
     for w in gen_universe(MaxDiffExact(3, 8), 3):
         assert max(w) - min(w) == 3
