@@ -230,13 +230,14 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
     With an actual world, only the child holding it.  Parts whose answers are
     rotations of each other by a multiple of the branch's step are rotations of
     each other too, so only the first of them is kept; it stands for the rest.
+    The same symmetry lets the split answer one world per rotation orbit.
     """
     if isinstance(branch.state, _Lazy):
         parts = [branch.state.narrowed(speakers, vis, actual)]
     else:
         parts = [
             (answers, KnowledgeState(tuple(worlds)))
-            for answers, worlds in split(branch.state, speakers, vis).items()
+            for answers, worlds in split(branch.state, speakers, vis, branch.step).items()
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
@@ -359,8 +360,14 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     as with circle or full sight over hats) is refined one cell per rotation
     orbit (Emerson & Sistla 1996).  The rows of the other cells are the
     representative's worlds, eventual tuple and learners rotated, each with the
-    digest of its own rotated announcements.  Circular turns, line sight, blind
-    agents and universes not closed under rotation refine every cell.
+    digest of its own rotated announcements.  A cell that rotating by some
+    seats leaves as it is (the universe always; with full sight, most big
+    cells) is split once per rotation orbit of its worlds: tables for the seats
+    of one rotation step, the other seats' answers read from rotated worlds
+    (see worlds.split).  Circular turns, line sight, blind agents and universes
+    not closed under rotation refine every cell and answer every world.
+
+    A family with no world is refused with EngineError.
 
     orbit: None for per-world rows, "rotation" to merge rotation classes
     (representative is the lexicographically least rotation).
@@ -369,8 +376,11 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
         raise EngineError(f"unknown orbit {orbit!r}; use None or 'rotation'")
     scenario.validate()
     n = scenario.n_agents
-    if scenario.constraint.count_worlds(n) > STREAM_THRESHOLD:
+    size = scenario.constraint.count_worlds(n)
+    if size > STREAM_THRESHOLD:
         raise EngineError("family too large to sweep without streaming support")
+    if size == 0:
+        raise EngineError("no world satisfies the announcement; there is nothing to sweep")
     rows = []
     for branch, stabilized in _play(scenario, scenario.universe()):
         eventual = _classify(n, branch.first_yes, stabilized)

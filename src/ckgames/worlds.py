@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 World = tuple[int, ...]
 
@@ -158,18 +158,46 @@ def answers_in(tables: list, world: World) -> tuple[bool, ...]:
     return tuple([table[key(world)][0] != MIXED for key, table in tables])
 
 
-def split(state: Iterable[World], speakers, vis: VisibilityGraph) -> dict:
+def split(state: Iterable[World], speakers, vis: VisibilityGraph, step: Optional[int] = None) -> dict:
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
     it, each list in the order of `state`.
+
+    A `step` below the number of agents promises that every agent speaks and
+    that rotating the seats by any multiple of `step` maps `state` and the
+    sight graph onto themselves.  Agent i + m then sees in a world w what agent
+    i sees in w rotated back by m seats, so tables are built for seats
+    0 .. step-1 only, and each rotation orbit of worlds is answered once: its
+    other members get the rotated answers.  Without a step, or with step equal
+    to the number of agents, every world is answered from its own keys.
     """
     if len(state) == 1:  # every key matches one world, so every speaker knows
         return {(YES,) * len(speakers): list(state)}
-    tables = answer_tables(state, speakers, vis)
-    columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
+    n = vis.n_agents
+    if step is None or step == n:
+        tables = answer_tables(state, speakers, vis)
+        columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
+        vectors = zip(*columns)
+    else:
+        if tuple(speakers) != tuple(range(n)) or n % step:
+            raise ContractViolation("an orbit split needs every agent in seat order and a step dividing n")
+        tables = answer_tables(state, range(step), vis)
+        shifts = range(0, n, step)
+        answered: dict[World, tuple[bool, ...]] = {}
+        for w in state:
+            if w in answered:
+                continue
+            # agents m .. m+step-1 answer from w rotated back by m seats
+            answers = tuple([
+                table[key(v)][0] != MIXED
+                for v in [w[m:] + w[:m] for m in shifts] for key, table in tables
+            ])
+            for m in shifts:  # w rotated forward by m seats gives the rotated answers
+                answered[w[n - m:] + w[:n - m]] = answers[n - m:] + answers[:n - m]
+        vectors = map(answered.__getitem__, state)
     groups: dict[tuple[bool, ...], list[World]] = {}
-    for w, answers in zip(state, zip(*columns)):
+    for w, answers in zip(state, vectors):
         group = groups.get(answers)
         if group is None:
             groups[answers] = [w]

@@ -110,6 +110,17 @@ def test_sweep_requires_marker(capsys):
     assert main(["sweep", str(FIXTURES / "intro_one_red.ck")]) == 2
 
 
+@pytest.mark.parametrize("orbit", [[], ["--orbit"]])
+def test_sweep_of_an_empty_universe_is_a_clean_refusal(tmp_path, capsys, orbit):
+    text = (SWEEPS / "emperor10.ck").read_text()
+    empty = text.replace("agents p1 p2 p3 p4 p5 p6 p7 p8 p9 p10", "agents p1 p2 p3")
+    (tmp_path / "empty.ck").write_text(empty.replace("exactly red 3", "exactly red 5"))
+    assert main(["sweep", str(tmp_path / "empty.ck")] + orbit) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no world satisfies the announcement" in captured.err
+
+
 def test_sweep_emperor(capsys):
     assert main(["sweep", str(SWEEPS / "emperor10.ck"), "--orbit"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Invariant properties over randomized small scenarios."""
 
+import dataclasses
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from ckgames import dsl, engine
 from ckgames.engine import profile_universe, run, run_profiles, sweep, transcript_digest
 from ckgames.scenarios import (
     Blind,
+    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,
@@ -25,6 +27,7 @@ from ckgames.scenarios import (
     ZeroOne,
     gen_universe,
     gen_visibility,
+    needs_cap,
 )
 from ckgames.worlds import (
     KnowledgeState,
@@ -94,6 +97,37 @@ def test_split_matches_reference(case, data):
     assert split(state, speakers, vis) == expected
 
 
+@st.composite
+def rotation_closed_states(draw):
+    """(a state closed under rotating by step seats, in random order, its sight, step).
+
+    Some worlds repeat a shorter block, so their orbits are shorter than n // step.
+    """
+    n = draw(st.integers(2, 9))
+    step = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    vis = gen_visibility(draw(st.sampled_from([Full(), NearCircle(), FarCircle()] if n > 2 else [Full()])), n)
+    values = st.integers(0, draw(st.integers(1, 2)))
+    seeds = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=8))
+    for period in draw(st.lists(st.sampled_from([d for d in range(1, n) if n % d == 0]), max_size=3)):
+        seeds.append(tuple(draw(st.tuples(*[values] * period))) * (n // period))
+    closed = {w[m:] + w[:m] for w in seeds for m in range(0, n, step)}
+    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), vis, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation_closed_states(), st.data())
+def test_orbit_split_matches_plain_split(case, data):
+    # answering one world per rotation orbit must give the groups, and the order
+    # within each group, of answering every world from its own keys
+    state, vis, step = case
+    n = vis.n_agents
+    groups = split(state, range(n), vis, step)
+    assert groups == split(state, range(n), vis) == split(state, range(n), vis, n)
+    for answers, worlds in groups.items():
+        w = data.draw(st.sampled_from(worlds))
+        assert answers == tuple(knows_own(i, w, state, vis) for i in range(n))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 60), st.integers(2, 5))
 def test_sum_or_product_count_matches_enumeration(announced, n):
@@ -139,13 +173,26 @@ def test_generate_is_sorted_members_and_counted(case):
 
 @st.composite
 def small_families(draw):
-    """A hat or sum family with n 3-5 under any sight model and either protocol."""
+    """A family of any constraint class with n 3-5 and at most about 150 worlds,
+    under any sight model and either protocol."""
     n = draw(st.integers(3, 5))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["hats", "sum_in_set", "sum_or_product", "max_diff",
+                                 "at_most", "consecutive", "zero_one"]))
+    if kind == "hats":
         colors = draw(st.integers(2, 3 if n < 5 else 2))
         constraint = HatsAtLeast(draw(st.integers(0, colors - 1)), draw(st.integers(1, n)), colors)
-    else:
+    elif kind == "sum_in_set":
         constraint = SumInSet(tuple(draw(st.sets(st.integers(n, n + 4), min_size=1, max_size=2))))
+    elif kind == "sum_or_product":
+        constraint = SumOrProduct(draw(st.integers(n, n + 4)))
+    elif kind in ("max_diff", "at_most"):
+        diff = draw(st.integers(0, 2 if n < 5 else 1))
+        constraint = (MaxDiffExact if kind == "max_diff" else MaxDiffAtMost)(diff, diff + draw(st.integers(0, 1)))
+    elif kind == "consecutive":
+        constraint = ConsecutiveDistinct(draw(st.integers(n - 1, n if n < 5 else n - 1)))
+    else:
+        constraint = ZeroOne()
+    bound = BoundConfig(constraint.cap, 10) if needs_cap(constraint) else None
     sight = draw(st.one_of(
         st.sampled_from([Full(), NearCircle(), FarCircle(), NearLine()]),
         st.builds(Blind, st.frozensets(st.integers(0, n - 1), min_size=1)),
@@ -154,7 +201,8 @@ def small_families(draw):
         protocol = Simultaneous(draw(st.integers(1, 6)))
     else:
         protocol = Circular(tuple(draw(st.permutations(range(n)))), draw(st.integers(1, 4)))
-    return Scenario("fam", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, None)
+    return Scenario("fam", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, None,
+                    bound=bound)
 
 
 @settings(max_examples=25, deadline=None)
@@ -165,8 +213,7 @@ def test_run_streamed_run_and_sweep_agree(family, data):
     report = sweep(family)
     budget = data.draw(st.integers(0, len(report.rows) - 1))
     for row in report.rows:
-        sc = Scenario(family.name, family.agents, family.constraint, family.sight,
-                      family.protocol, row.world)
+        sc = dataclasses.replace(family, actual=row.world)
         direct = run(sc)
         with mock.patch.object(engine, "STREAM_THRESHOLD", budget):
             lazy = run(sc)

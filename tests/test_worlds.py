@@ -188,3 +188,14 @@ def test_visibility_equality_ignores_key_functions():
     assert a != VisibilityGraph(tuple(a.sees[:4]) + (frozenset({0}),))
     world = (0, 1, 2, 3, 4)
     assert [a.keys[i](world) for i in range(5)] == [(1, 4), (0, 2), (1, 3), (2, 4), (0, 3)]
+
+
+def test_orbit_split_refuses_a_partial_step():
+    # answers read from rotated worlds need every agent, in seat order, and a
+    # rotation step that divides the circle
+    vis = gen_visibility(NearCircle(), 6)
+    state = gen_universe(HatsAtLeast(0, 1, 2), 6)
+    assert split(state, range(6), vis, 2) == split(state, range(6), vis)
+    for speakers, step in [((0,), 1), ((1, 0, 2, 3, 4, 5), 1), (range(6), 4)]:
+        with pytest.raises(ContractViolation):
+            split(state, speakers, vis, step)
