@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import dsl, engine, scenarios, worlds
@@ -62,14 +63,7 @@ def main(argv=None) -> int:
 def _load(path: str, max_rounds=None) -> scenarios.Scenario:
     sc = dsl.parse_file(path)
     if max_rounds is not None:
-        if isinstance(sc.protocol, scenarios.Simultaneous):
-            proto = scenarios.Simultaneous(max_rounds)
-        else:
-            proto = scenarios.Circular(sc.protocol.order, max_rounds)
-        sc = scenarios.Scenario(
-            name=sc.name, agents=sc.agents, constraint=sc.constraint, sight=sc.sight,
-            protocol=proto, actual=sc.actual, alphabet=sc.alphabet, bound=sc.bound,
-        )
+        sc = replace(sc, protocol=replace(sc.protocol, max_rounds=max_rounds))
     return sc
 
 
@@ -130,40 +124,33 @@ def cmd_verify(args) -> int:
         print(f"error: no fixtures found in {args.dir}", file=sys.stderr)
         return USAGE
 
-    def check(path: Path):
+    failed = malformed = 0
+    for path in fixtures:
         expect_path = path.with_suffix(".expect")
-        if not expect_path.exists():
-            return (path.name, None, [f"missing expectation file {expect_path.name}"])
+        problems = None  # set here when the fixture cannot be checked at all
         try:
-            sc = dsl.parse_file(str(path))
-            exp = dsl.parse_expected_file(str(expect_path))
-            if sc.actual is None:
-                return (path.name, None, ["fixture has a sweep marker; verify needs an actual world"])
-            transcript = engine.run(sc)
+            if not expect_path.exists():
+                problems = [f"missing expectation file {expect_path.name}"]
+            else:
+                sc = dsl.parse_file(str(path))
+                exp = dsl.parse_expected_file(str(expect_path))
+                if sc.actual is None:
+                    problems = ["fixture has a sweep marker; verify needs an actual world"]
+                else:
+                    transcript = engine.run(sc)
         except (dsl.ParseError, dsl.SemanticError) as e:
-            return (path.name, None, [f"parse error: {e}"])
+            problems = [f"parse error: {e}"]
         except (worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
-            return (path.name, None, [f"error: {e}"])
-        return (path.name, transcript, dsl.match_expectation(exp, transcript, sc.alphabet))
-
-    results = [check(f) for f in fixtures]
-
-    failed = 0
-    malformed = 0
-    for name, transcript, problems in results:
-        if transcript is None:
-            malformed += 1
-            print(f"FAIL  {name}")
-            for p in problems:
-                print(f"      {p}", file=sys.stderr)
-        elif problems:
-            failed += 1
-            print(f"FAIL  {name}")
-            for p in problems:
-                print(f"      {p}", file=sys.stderr)
+            problems = [f"error: {e}"]
+        if problems is None:
+            problems = dsl.match_expectation(exp, transcript, sc.alphabet)
+            failed += bool(problems)
         else:
-            print(f"PASS  {name}")
-    total = len(results)
+            malformed += 1
+        print(f"{'FAIL' if problems else 'PASS'}  {path.name}")
+        for p in problems:
+            print(f"      {p}", file=sys.stderr)
+    total = len(fixtures)
     print(f"{total - failed - malformed}/{total} fixtures passed")
     if malformed:
         return USAGE

@@ -422,8 +422,7 @@ def pretty(sc: Scenario) -> str:
     lines = [f'scenario "{sc.name}" {{']
     lines.append("  agents " + " ".join(sc.agents))
     c = sc.constraint
-    show_values = sc.alphabet is not None and not isinstance(c, ZeroOne)
-    if show_values:
+    if sc.alphabet is not None:
         lines.append("  values { " + " ".join(sc.alphabet) + " }")
     if isinstance(c, HatsAtLeast):
         lines.append(f"  announce atleast {sc.alphabet[c.color]} {c.count}")
@@ -456,11 +455,7 @@ def pretty(sc: Scenario) -> str:
     if sc.actual is None:
         lines.append("  sweep")
     else:
-        if show_values:
-            shown = " ".join(sc.alphabet[v] for v in sc.actual)
-        else:
-            shown = " ".join(str(v) for v in sc.actual)
-        lines.append(f"  actual [ {shown} ]")
+        lines.append("  actual [ " + " ".join(sc.value_label(v) for v in sc.actual) + " ]")
     if sc.bound is not None:
         lines.append(f"  bound {sc.bound.cap} growth {sc.bound.growth}")
     lines.append("}")

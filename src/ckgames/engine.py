@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
@@ -113,7 +113,9 @@ class _Branch(NamedTuple):
     events: tuple[tuple, ...]  # Event fields as plain tuples
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
     step: int  # rotating the seats by a multiple of step leaves the cell as it is; n: by none
-    images: Optional[dict]  # rotation k -> running sha256 of the k-rotated cell's digest text
+    # sweeps only: images[k] is the running sha256 of the digest text of the cell rotated
+    # by k seats, for k < step in a seat-symmetric sweep and k = 0 otherwise
+    images: Optional[list]
 
 
 def _rot(seq: tuple, k: int) -> tuple:
@@ -196,7 +198,7 @@ def _play(
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
     symmetric = actual is None and simultaneous and _rotation_invariant(vis, root)
-    images = {0: hashlib.sha256()} if actual is None else None
+    images = [hashlib.sha256()] if actual is None else None
     live = [_Branch(root, (), {}, 1 if symmetric else n, images)]
     leaves = []
     for rnd in range(1, protocol.max_rounds + 1):
@@ -259,14 +261,12 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
         ])
         images = None
         if branch.images is not None:  # extends each image's transcript_digest text by this step
-            images = {}
             yes, no = f"YES,{size}", f"NO,{size}"
-            for k, digest in branch.images.items():
-                for t in range(0, stab, step):
-                    said = _rot(answers, k + t)
-                    text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, said)])
-                    image = images[(k + t) % n] = digest.copy()
-                    image.update((";" + text if branch.events else text).encode("ascii"))
+            images = [branch.images[k % step].copy() for k in range(len(branch.images) * stab // step)]
+            for k, image in enumerate(images):
+                said = _rot(answers, k)
+                text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, said)])
+                image.update((";" + text if branch.events else text).encode("ascii"))
         yield _Branch(state, branch.events + events, first_yes, stab, images)
 
 
@@ -384,7 +384,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     rows = []
     for branch, stabilized in _play(scenario, scenario.universe()):
         eventual = _classify(n, branch.first_yes, stabilized)
-        for k, digest in branch.images.items():
+        for k, digest in enumerate(branch.images):
             turned, learners = _rot(eventual, k), frozenset((a + k) % n for a in branch.first_yes)
             digest = digest.hexdigest()
             rows += [SweepRow(_rot(w, k), turned, learners, digest) for w in branch.state]
@@ -425,6 +425,8 @@ def stability_check(scenario: scenarios.Scenario, cap: int, larger_cap: int) -> 
     """
     if not scenarios.needs_cap(scenario.constraint):
         raise EngineError("scenario family does not take a cap")
+    if larger_cap <= cap:
+        raise EngineError(f"larger cap {larger_cap} must exceed cap {cap}")
     a = run(_with_cap(scenario, cap))
     b = run(_with_cap(scenario, larger_cap))
     key = lambda t: [(e.round, e.turn, e.agent, e.answer) for e in t.events]
@@ -432,16 +434,8 @@ def stability_check(scenario: scenarios.Scenario, cap: int, larger_cap: int) -> 
 
 
 def _with_cap(scenario: scenarios.Scenario, cap: int) -> scenarios.Scenario:
-    return scenarios.Scenario(
-        name=scenario.name,
-        agents=scenario.agents,
-        constraint=scenarios.with_cap(scenario.constraint, cap),
-        sight=scenario.sight,
-        protocol=scenario.protocol,
-        actual=scenario.actual,
-        alphabet=scenario.alphabet,
-        bound=scenarios.BoundConfig(cap, scenario.bound.growth if scenario.bound else 10),
-    )
+    bound = replace(scenario.bound, cap=cap) if scenario.bound else scenarios.BoundConfig(cap)
+    return replace(scenario, constraint=scenarios.with_cap(scenario.constraint, cap), bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -458,35 +452,19 @@ def _with_cap(scenario: scenarios.Scenario, cap: int) -> scenarios.Scenario:
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:
     """Sorted value profiles of the constraint's worlds.
 
-    Permutation-invariant constraints admit direct multiset enumeration, far
-    cheaper than collapsing the full world set.  Windowed families (maximum
-    difference) are enumerated per offset so large caps stay cheap.
+    An exact-difference family (the criterion-11 cells, d = 0 included) is
+    enumerated as multisets, one window of values at a time, so large caps stay
+    cheap.  Any other constraint sorts each world its generator yields.
     """
-    out = set()
-    if isinstance(constraint, scenarios.MaxDiffExact) and constraint.diff > 0:
+    if isinstance(constraint, scenarios.MaxDiffExact):
         d = constraint.diff
-        for lo in range(constraint.cap - d + 1):
-            for prof in itertools.combinations_with_replacement(range(lo, lo + d + 1), n):
-                if prof[0] == lo and prof[-1] == lo + d:
-                    out.add(prof)
-        return frozenset(out)
-    bound = _value_bound(constraint, n)
-    for prof in itertools.combinations_with_replacement(range(bound + 1), n):
-        if constraint.contains(prof):
-            out.add(prof)
-    return frozenset(out)
-
-
-def _value_bound(constraint, n: int) -> int:
-    if hasattr(constraint, "cap"):
-        return constraint.cap
-    if isinstance(constraint, scenarios.SumOrProduct):
-        return constraint.announced
-    if isinstance(constraint, scenarios.SumInSet):
-        return max(constraint.sums) - n + 1
-    if hasattr(constraint, "n_colors"):
-        return constraint.n_colors - 1
-    return 1  # zero-one
+        return frozenset(
+            prof
+            for lo in range(constraint.cap - d + 1)
+            for prof in itertools.combinations_with_replacement(range(lo, lo + d + 1), n)
+            if prof[0] == lo and prof[-1] == lo + d
+        )
+    return frozenset(tuple(sorted(w)) for w in constraint.generate(n))
 
 
 def run_profiles(

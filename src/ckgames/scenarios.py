@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional
 
 from .worlds import KnowledgeState, VisibilityGraph, World
@@ -87,15 +87,8 @@ class MaxDiffExact:
             raise GenerationError("cap must be at least the required difference")
 
     def generate(self, n: int) -> Iterator[World]:
-        if self.diff == 0:
-            for v in range(self.cap + 1):
-                yield (v,) * n
-            return
-        yield from heapq.merge(
-            *(
-                _window_tuples(lo, self.diff, n)
-                for lo in range(self.cap - self.diff + 1)
-            )
+        return heapq.merge(
+            *(_window_tuples(lo, self.diff, n) for lo in range(self.cap - self.diff + 1))
         )
 
     def contains(self, w: World) -> bool:
@@ -124,24 +117,19 @@ class MaxDiffAtMost:
             raise GenerationError("cap must be at least the required difference")
 
     def generate(self, n: int) -> Iterator[World]:
-        equal = ((v,) * n for v in range(self.cap + 1))
-        yield from heapq.merge(
-            equal,
+        return heapq.merge(
             *(
                 _window_tuples(lo, d, n)
-                for d in range(1, self.diff + 1)
+                for d in range(self.diff + 1)
                 for lo in range(self.cap - d + 1)
-            ),
+            )
         )
 
     def contains(self, w: World) -> bool:
         return all(0 <= v <= self.cap for v in w) and max(w) - min(w) <= self.diff
 
     def count_worlds(self, n: int) -> int:
-        return sum(
-            MaxDiffExact(d, max(d, self.cap)).count_worlds(n) if d else self.cap + 1
-            for d in range(self.diff + 1)
-        )
+        return sum(MaxDiffExact(d, self.cap).count_worlds(n) for d in range(self.diff + 1))
 
 
 @dataclass(frozen=True)
@@ -150,11 +138,14 @@ class ConsecutiveDistinct:
 
     cap: int
 
-    def generate(self, n: int) -> Iterator[World]:
+    def _check(self, n: int) -> None:
         if n < 2:
             raise GenerationError("consecutive numbers need at least 2 agents")
         if self.cap < n - 1:
             raise GenerationError("cap too small for the agent count")
+
+    def generate(self, n: int) -> Iterator[World]:
+        self._check(n)
         yield from heapq.merge(
             *(
                 itertools.permutations(range(lo, lo + n))
@@ -171,6 +162,7 @@ class ConsecutiveDistinct:
         return all(0 <= v <= self.cap for v in w) and self._is_consecutive(w)
 
     def count_worlds(self, n: int) -> int:
+        self._check(n)
         return (self.cap - n + 2) * math.factorial(n)
 
 
@@ -181,9 +173,9 @@ class SumOrProduct:
     announced: int
 
     def generate(self, n: int) -> Iterator[World]:
-        worlds = set(_compositions({self.announced}, n))
-        worlds.update(_factorizations(self.announced, n))
-        yield from sorted(worlds)
+        # a factorization summing to `announced` is a composition too, so it is left out
+        m = self.announced
+        return heapq.merge(_compositions({m}, n), (f for f in _factorizations(m, n) if sum(f) != m))
 
     def contains(self, w: World) -> bool:
         if any(v < 1 for v in w):
@@ -396,13 +388,9 @@ def needs_cap(constraint: Constraint) -> bool:
 
 
 def with_cap(constraint: Constraint, cap: int) -> Constraint:
-    if isinstance(constraint, MaxDiffExact):
-        return MaxDiffExact(constraint.diff, cap)
-    if isinstance(constraint, MaxDiffAtMost):
-        return MaxDiffAtMost(constraint.diff, cap)
-    if isinstance(constraint, ConsecutiveDistinct):
-        return ConsecutiveDistinct(cap)
-    raise GenerationError("constraint does not take a cap")
+    if not needs_cap(constraint):
+        raise GenerationError("constraint does not take a cap")
+    return replace(constraint, cap=cap)
 
 
 # ---------------------------------------------------------------------------

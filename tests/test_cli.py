@@ -106,6 +106,23 @@ def test_verify_empty_dir(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
 
 
+def test_verify_reports_a_missing_expectation(tmp_path, capsys):
+    (tmp_path / "lone.ck").write_text((FIXTURES / "intro_one_red.ck").read_text())
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL  lone.ck\n0/1 fixtures passed\n"
+    assert "missing expectation file lone.expect" in captured.err
+
+
+def test_verify_refuses_a_sweep_marker(tmp_path, capsys):
+    (tmp_path / "family.ck").write_text((SWEEPS / "emperor10.ck").read_text())
+    (tmp_path / "family.expect").write_text("eventual: p1=round1\n")
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL  family.ck\n0/1 fixtures passed\n"
+    assert "fixture has a sweep marker; verify needs an actual world" in captured.err
+
+
 def test_sweep_requires_marker(capsys):
     assert main(["sweep", str(FIXTURES / "intro_one_red.ck")]) == 2
 
@@ -159,6 +176,21 @@ def test_stability_fail_tiny_cap(tmp_path, capsys):
     tiny = text.replace("bound 20 growth 10", "bound 4 growth 16")
     (tmp_path / "tiny.ck").write_text(tiny)
     assert main(["stability", str(tmp_path / "tiny.ck")]) == 1
+
+
+@pytest.mark.parametrize("growth", ["0", "-3"])
+def test_stability_refuses_a_cap_that_does_not_grow(capsys, growth):
+    assert main(["stability", str(FIXTURES / "puzzle9_two_consecutive.ck"), "--growth", growth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_stability_refuses_a_bound_with_no_growth(tmp_path, capsys):
+    text = (FIXTURES / "puzzle9_two_consecutive.ck").read_text()
+    (tmp_path / "flat.ck").write_text(text.replace("bound 20 growth 10", "bound 20 growth 0"))
+    assert main(["stability", str(tmp_path / "flat.ck")]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_stability_rejects_capless(capsys):

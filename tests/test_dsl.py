@@ -117,6 +117,21 @@ scenario "blind" {
         assert parse(pretty(sc)) == sc
 
 
+@pytest.mark.parametrize("values", ["", "  values { lo hi }\n"])
+def test_roundtrip_keeps_the_zeroone_alphabet(values):
+    sc = parse(f'''
+scenario "bits" {{
+  agents a b c
+{values}  announce zeroone
+  sight full
+  protocol simultaneous rounds 4
+  actual [ 0 1 1 ]
+}}
+''')
+    assert sc.alphabet == (("lo", "hi") if values else ("zero", "one"))
+    assert parse(pretty(sc)) == sc
+
+
 def test_serialize_canonical_and_stable():
     sc = parse(INTRO)
     t = run(sc)

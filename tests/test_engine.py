@@ -22,6 +22,7 @@ from ckgames.scenarios import (
     Blind,
     BoundConfig,
     Circular,
+    ConsecutiveDistinct,
     FarCircle,
     Full,
     HatsAtLeast,
@@ -322,3 +323,12 @@ def test_transcript_digest_stable():
     t1 = run(hats("d", (R, B, B), Simultaneous(5)))
     t2 = run(hats("d", (R, B, B), Simultaneous(5)))
     assert transcript_digest(t1.events) == transcript_digest(t2.events)
+
+
+@pytest.mark.parametrize("larger_cap", [20, 17])
+def test_stability_check_refuses_a_cap_that_does_not_grow(larger_cap):
+    # comparing a cap with itself, or with a smaller one, tests nothing
+    sc = Scenario("c", ("a", "b"), ConsecutiveDistinct(20), Full(), Simultaneous(5), (4, 5),
+                  bound=BoundConfig(20))
+    with pytest.raises(EngineError, match="must exceed"):
+        stability_check(sc, 20, larger_cap)

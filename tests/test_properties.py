@@ -3,6 +3,7 @@
 import dataclasses
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ckgames import dsl, engine
@@ -14,6 +15,7 @@ from ckgames.scenarios import (
     ConsecutiveDistinct,
     FarCircle,
     Full,
+    GenerationError,
     HatsAtLeast,
     HatsExactly,
     MaxDiffAtMost,
@@ -150,8 +152,8 @@ def small_constraints(draw):
         cap = draw(st.integers(diff, diff + 4))
         return (MaxDiffExact if kind == "max_diff" else MaxDiffAtMost)(diff, cap), draw(st.integers(1, 4))
     if kind == "consecutive":
-        n = draw(st.integers(2, 5))
-        return ConsecutiveDistinct(draw(st.integers(n - 1, n + 2))), n
+        n = draw(st.integers(1, 5))
+        return ConsecutiveDistinct(draw(st.integers(n - 3, n + 2))), n
     if kind == "sum_or_product":
         return SumOrProduct(draw(st.integers(1, 30))), draw(st.integers(2, 4))
     if kind == "sum_in_set":
@@ -163,12 +165,31 @@ def small_constraints(draw):
 @given(small_constraints())
 def test_generate_is_sorted_members_and_counted(case):
     # count_worlds is closed-form and generate streams: both must describe one
-    # strictly increasing list of members
+    # strictly increasing list of members, or both refuse the agent count
     constraint, n = case
-    worlds = list(constraint.generate(n))
+    try:
+        worlds = list(constraint.generate(n))
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            constraint.count_worlds(n)
+        return
     assert constraint.count_worlds(n) == len(worlds)
     assert all(a < b for a, b in zip(worlds, worlds[1:]))
     assert all(len(w) == n and constraint.contains(w) for w in worlds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_constraints())
+def test_profile_universe_is_the_sorted_generated_worlds(case):
+    # exact-difference families are enumerated by window, d = 0 included
+    constraint, n = case
+    try:
+        expected = {tuple(sorted(w)) for w in constraint.generate(n)}
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            profile_universe(constraint, n)
+        return
+    assert profile_universe(constraint, n) == expected
 
 
 @st.composite

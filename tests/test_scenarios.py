@@ -1,6 +1,8 @@
 """Universe generation, visibility models, and streaming."""
 
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -40,6 +42,20 @@ def test_sum_or_product_50():
     sums = {w for w in u if sum(w) == 50}
     prods = {w for w in u if w[0] * w[1] == 50}
     assert len(sums) == 49 and len(prods) == 6 and not (sums & prods)
+
+
+def test_sum_or_product_yields_its_first_worlds_without_building_the_rest():
+    # 273,819 compositions of 120 into 4 parts; building and sorting them all
+    # before the first world peaks at about 30 MB
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(SumOrProduct(120).generate(4), 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[:3] == [(1, 1, 1, 117), (1, 1, 1, 120), (1, 1, 2, 60)]
+    assert len(first) == 10 and first == sorted(set(first))
+    assert peak < 1_000_000
 
 
 def test_sum_in_set_composition_counts():
