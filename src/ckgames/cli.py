@@ -52,10 +52,7 @@ def main(argv=None) -> int:
     except (dsl.ParseError, dsl.SemanticError) as e:
         print(f"{getattr(args, 'path', getattr(args, 'dir', '?'))}:{e}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except (worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
+    except (dsl.ReadError, worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
 
@@ -140,7 +137,7 @@ def cmd_verify(args) -> int:
                     transcript = engine.run(sc)
         except (dsl.ParseError, dsl.SemanticError) as e:
             problems = [f"parse error: {e}"]
-        except (worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
+        except (dsl.ReadError, worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
             problems = [f"error: {e}"]
         if problems is None:
             problems = dsl.match_expectation(exp, transcript, sc.alphabet)

@@ -462,9 +462,22 @@ def pretty(sc: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+class ReadError(Exception):
+    """A source file could not be read as UTF-8 text (missing, a directory, bad bytes, ...)."""
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ReadError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    except OSError as e:
+        raise ReadError(str(e)) from e
+
+
 def parse_file(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(_read(path))
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +606,7 @@ def parse_expected(text: str) -> Expectation:
 
 
 def parse_expected_file(path: str) -> Expectation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_expected(fh.read())
+    return parse_expected(_read(path))
 
 
 def match_expectation(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
@@ -112,24 +113,56 @@ class _Branch(NamedTuple):
     state: object  # KnowledgeState, or _Lazy while too large to hold
     events: tuple[tuple, ...]  # Event fields as plain tuples
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
-    step: int  # rotating the seats by a multiple of step leaves the cell as it is; n: by none
-    # sweeps only: images[k] is the running sha256 of the digest text of the cell rotated
-    # by k seats, for k < step in a seat-symmetric sweep and k = 0 otherwise
+    stabilizer: tuple[int, ...]  # the elements of the seat group that map the cell onto itself
+    # sweeps only: (element e, running sha256 of the digest text of the cell moved by e),
+    # one per cell this branch stands for
     images: Optional[list]
 
 
-def _rot(seq: tuple, k: int) -> tuple:
-    """seq rotated by k seats: _rot(seq, k)[i] == seq[(i - k) % len(seq)]."""
-    k %= len(seq)
-    return seq[-k:] + seq[:-k]
+class _Group(NamedTuple):
+    """A group of seat permutations; element 0 is the identity.
+
+    Element e moves a world, answer vector or eventual tuple x to acts[e](x),
+    whose seat i holds x[perms[e][i]].  compose[e][f] acts as f, then e.
+    """
+
+    perms: tuple[tuple[int, ...], ...]
+    acts: tuple  # the identity acts as `tuple`, which also takes a circular step's one answer
+    compose: tuple[tuple[int, ...], ...]
 
 
-def _rotation_invariant(vis: VisibilityGraph, universe: KnowledgeState) -> bool:
-    """True iff rotating every seat by one maps the sight graph and the universe onto themselves."""
+def _seat_group(n: int, generators=()) -> _Group:
+    """The group of permutations of n seats that `generators` generate."""
+    perms = [tuple(range(n))]
+    for p in perms:  # the list grows while it is walked, until it is closed
+        for s in generators:
+            q = itemgetter(*p)(s)  # s, then p
+            if q not in perms:
+                perms.append(q)
+    acts = (tuple,) + tuple(itemgetter(*p) for p in perms[1:])
+    index = {p: e for e, p in enumerate(perms)}
+    compose = tuple(tuple(index[act(q)] for q in perms) for act in acts)
+    return _Group(tuple(perms), acts, compose)
+
+
+def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph, universe: KnowledgeState) -> _Group:
+    """The seat permutations a simultaneous sweep may quotient by.
+
+    Generated by rotation by one seat and by reversal (seat j to n-1-j), each
+    kept only if it maps the sight graph and the universe onto themselves:
+    the dihedral group for circle and full sight, reversal alone for line
+    sight, the identity alone for circular turns and blind agents.
+    """
     n = vis.n_agents
-    return all(
-        vis.sees[(i + 1) % n] == {(j + 1) % n for j in vis.sees[i]} for i in range(n)
-    ) and all(_rot(w, 1) in universe for w in universe)
+    generators = []
+    if isinstance(scenario.protocol, scenarios.Simultaneous):
+        worlds = set(universe)
+        for p in (tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1))):
+            if all(vis.sees[p[i]] == {p[j] for j in vis.sees[i]} for i in range(n)) and (
+                worlds.issuperset(map(itemgetter(*p), worlds))
+            ):
+                generators.append(p)
+    return _seat_group(n, generators)
 
 
 class _Lazy:
@@ -178,7 +211,7 @@ class _Lazy:
 
 
 def _play(
-    scenario: scenarios.Scenario, root, actual: Optional[World] = None
+    scenario: scenarios.Scenario, root, actual: Optional[World] = None, group: Optional[_Group] = None
 ) -> list[tuple[_Branch, Optional[int]]]:
     """Refine `root` round by round; (branch, round it stabilized or None) per leaf.
 
@@ -189,29 +222,38 @@ def _play(
     answer of a round was YES, or when the round left its size and its number
     of learners unchanged (a certified fixpoint).
 
-    A sweep of a game that rotating the seats leaves unchanged keeps one branch
-    per rotation orbit; its `images` are the rotations it stands for (see sweep).
+    A sweep quotiented by a `group` of seat symmetries keeps one branch per
+    orbit of cells; its `images` are the elements that move it onto the cells
+    it stands for (see sweep).  Without a group, the identity alone.
     """
     protocol = scenario.protocol
     n = scenario.n_agents
     vis = scenario.visibility()
+    if group is None:
+        group = _seat_group(n)
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
-    symmetric = actual is None and simultaneous and _rotation_invariant(vis, root)
-    images = [hashlib.sha256()] if actual is None else None
-    live = [_Branch(root, (), {}, 1 if symmetric else n, images)]
+    images = [(0, hashlib.sha256())] if actual is None else None
+    live = [_Branch(root, (), {}, tuple(range(len(group.perms))), images)]
     leaves = []
     for rnd in range(1, protocol.max_rounds + 1):
         if not live:
             break
+        plays = []  # per step: speakers, turn, and in a sweep a template for its digest text
+        for pos, speakers in enumerate(steps):
+            turn = rnd if simultaneous else (rnd - 1) * n + pos + 1
+            template = None
+            if actual is None:  # the step's transcript_digest text, %s for each answer and size
+                text = ";".join([f"{rnd},{turn},{agent},%s" for agent in speakers])
+                template = (text if rnd == 1 and pos == 0 else ";" + text).encode("ascii")
+            plays.append((speakers, turn, template))
         next_live = []
         for start in live:
             branches = [start]
-            for pos, speakers in enumerate(steps):
-                turn = rnd if simultaneous else (rnd - 1) * n + pos + 1
+            for speakers, turn, template in plays:
                 branches = [
                     child for branch in branches
-                    for child in _children(branch, speakers, rnd, turn, vis, actual)
+                    for child in _children(branch, speakers, rnd, turn, template, vis, group, actual)
                 ]
             for branch in branches:
                 said = branch.events[len(start.events):]
@@ -226,31 +268,40 @@ def _play(
     return leaves + [(branch, None) for branch in live]
 
 
-def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
+def _children(
+    branch: _Branch, speakers, rnd: int, turn: int, template: Optional[bytes], vis, group: _Group, actual
+):
     """One child per part of the branch's state after `speakers` answer truthfully.
 
-    With an actual world, only the child holding it.  Parts whose answers are
-    rotations of each other by a multiple of the branch's step are rotations of
-    each other too, so only the first of them is kept; it stands for the rest.
-    The same symmetry lets the split answer one world per rotation orbit.
+    With an actual world, only the child holding it.  An element of the
+    branch's stabilizer moves each part onto the part with the moved answers,
+    so only the first part of each such class is kept; it stands for the rest
+    through one element per distinct moved answer vector.  The same symmetry
+    lets the split answer one world per orbit.
     """
     if isinstance(branch.state, _Lazy):
         parts = [branch.state.narrowed(speakers, vis, actual)]
     else:
+        perms = [group.perms[e] for e in branch.stabilizer]
         parts = [
             (answers, KnowledgeState(tuple(worlds)))
-            for answers, worlds in split(branch.state, speakers, vis, branch.step).items()
+            for answers, worlds in split(branch.state, speakers, vis, perms).items()
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
-    n, step = vis.n_agents, branch.step
-    heads = [f"{rnd},{turn},{agent}," for agent in speakers] if branch.images is not None else None
+    acts, compose = group.acts, group.compose
     kept = set()
     for answers, state in parts:
         if answers in kept:
             continue
-        kept.update(_rot(answers, t) for t in range(0, n, step))
-        stab = next((h for h in range(step, n, step) if _rot(answers, h) == answers), n)
+        cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
+        stabilizer = []
+        for h in branch.stabilizer:
+            moved = acts[h](answers)
+            cosets.setdefault(moved, h)
+            if moved == answers:
+                stabilizer.append(h)
+        kept.update(cosets)
         first_yes = dict(branch.first_yes)
         for agent, answer in zip(speakers, answers):
             if answer:
@@ -261,13 +312,16 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, vis, actual):
         ])
         images = None
         if branch.images is not None:  # extends each image's transcript_digest text by this step
-            yes, no = f"YES,{size}", f"NO,{size}"
-            images = [branch.images[k % step].copy() for k in range(len(branch.images) * stab // step)]
-            for k, image in enumerate(images):
-                said = _rot(answers, k)
-                text = ";".join([h + (yes if answer else no) for h, answer in zip(heads, said)])
-                image.update((";" + text if branch.events else text).encode("ascii"))
-        yield _Branch(state, branch.events + events, first_yes, stab, images)
+            yes, no = b"YES,%d" % size, b"NO,%d" % size
+            words = tuple([yes if answer else no for answer in answers])
+            images = []
+            for e, digest in branch.images:
+                for h in cosets.values():
+                    image = compose[e][h]
+                    extended = digest.copy()
+                    extended.update(template % acts[image](words))
+                    images.append((image, extended))
+        yield _Branch(state, branch.events + events, first_yes, tuple(stabilizer), images)
 
 
 _NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
@@ -355,17 +409,18 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     final state of the worlds inside it.  This is semantically identical to
     calling run() per world.
 
-    A simultaneous game that rotating every seat by one leaves unchanged (each
-    agent sees the rotated seats, and the universe holds every rotated world,
-    as with circle or full sight over hats) is refined one cell per rotation
-    orbit (Emerson & Sistla 1996).  The rows of the other cells are the
-    representative's worlds, eventual tuple and learners rotated, each with the
-    digest of its own rotated announcements.  A cell that rotating by some
-    seats leaves as it is (the universe always; with full sight, most big
-    cells) is split once per rotation orbit of its worlds: tables for the seats
-    of one rotation step, the other seats' answers read from rotated worlds
-    (see worlds.split).  Circular turns, line sight, blind agents and universes
-    not closed under rotation refine every cell and answer every world.
+    A simultaneous game is quotiented by the seat permutations that map its
+    sight graph and universe onto themselves (Emerson & Sistla 1996; Ip & Dill
+    1996): the group generated by rotation by one seat and by reversal, when
+    they qualify (see _sweep_group).  Circle and full sight over hats keep the
+    dihedral group, line sight keeps reversal, and circular turns, blind
+    agents and universes closed under neither keep the identity alone.  One
+    cell per orbit is refined.  The rows of the other cells are the
+    representative's worlds and eventual tuple moved by a permutation, each
+    with the digest of its own moved announcements.  A cell that some
+    permutations leave as it is (the universe always; with full sight, most
+    big cells) is split once per orbit of its worlds under those permutations
+    (see worlds.split).
 
     A family with no world is refused with EngineError.
 
@@ -381,13 +436,17 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
         raise EngineError("family too large to sweep without streaming support")
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
+    universe = scenario.universe()
+    group = _sweep_group(scenario, scenario.visibility(), universe)
     rows = []
-    for branch, stabilized in _play(scenario, scenario.universe()):
+    for branch, stabilized in _play(scenario, universe, group=group):
         eventual = _classify(n, branch.first_yes, stabilized)
-        for k, digest in enumerate(branch.images):
-            turned, learners = _rot(eventual, k), frozenset((a + k) % n for a in branch.first_yes)
+        learns = tuple([agent in branch.first_yes for agent in range(n)])
+        for e, digest in branch.images:
+            move = group.acts[e]
+            moved, learners = move(eventual), frozenset(itertools.compress(range(n), move(learns)))
             digest = digest.hexdigest()
-            rows += [SweepRow(_rot(w, k), turned, learners, digest) for w in branch.state]
+            rows += [SweepRow(move(w), moved, learners, digest) for w in branch.state]
     rows.sort(key=lambda r: r.world)
 
     if orbit == "rotation":
@@ -410,7 +469,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
 
 
 def _min_rotation(w: World) -> World:
-    return min(_rot(w, k) for k in range(len(w)))
+    return min(w[k:] + w[:k] for k in range(len(w)))
 
 
 # ---------------------------------------------------------------------------

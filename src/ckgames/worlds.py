@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Sequence
 
 World = tuple[int, ...]
 
@@ -158,43 +158,56 @@ def answers_in(tables: list, world: World) -> tuple[bool, ...]:
     return tuple([table[key(world)][0] != MIXED for key, table in tables])
 
 
-def split(state: Iterable[World], speakers, vis: VisibilityGraph, step: Optional[int] = None) -> dict:
+def split(
+    state: Iterable[World], speakers, vis: VisibilityGraph, group: Sequence[tuple[int, ...]] = ()
+) -> dict:
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
     it, each list in the order of `state`.
 
-    A `step` below the number of agents promises that every agent speaks and
-    that rotating the seats by any multiple of `step` maps `state` and the
-    sight graph onto themselves.  Agent i + m then sees in a world w what agent
-    i sees in w rotated back by m seats, so tables are built for seats
-    0 .. step-1 only, and each rotation orbit of worlds is answered once: its
-    other members get the rotated answers.  Without a step, or with step equal
-    to the number of agents, every world is answered from its own keys.
+    A `group` of more than the identity is a group of seat permutations; p
+    moves a world w to p(w) = tuple(w[p[i]] for each seat i).  It promises that
+    every agent speaks and that each p maps `state` and the sight graph onto
+    themselves (p[j] is seen by p[i] exactly when j is seen by i).  Agent i
+    then sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
+    answers of w moved by p.  Tables are built for the first seat of each
+    orbit of the group on the seats; seat p[r] answers in w as seat r answers
+    in p(w).  Each orbit of worlds is answered once, and its other members get
+    the permuted answers.  Without a group, or with the identity alone, every
+    world is answered from its own keys.
     """
     if len(state) == 1:  # every key matches one world, so every speaker knows
         return {(YES,) * len(speakers): list(state)}
     n = vis.n_agents
-    if step is None or step == n:
+    if len(group) <= 1:
         tables = answer_tables(state, speakers, vis)
         columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
         vectors = zip(*columns)
     else:
-        if tuple(speakers) != tuple(range(n)) or n % step:
-            raise ContractViolation("an orbit split needs every agent in seat order and a step dividing n")
-        tables = answer_tables(state, range(step), vis)
-        shifts = range(0, n, step)
+        seats = list(range(n))
+        if list(speakers) != seats or any(sorted(p) != seats for p in group):
+            raise ContractViolation("a group split needs every agent in seat order and permutations of the seats")
+        via: dict[int, tuple[int, int]] = {}  # seat -> (element, first seat of its orbit)
+        firsts = []
+        for r in seats:
+            if r not in via:
+                firsts.append(r)
+                for e, p in enumerate(group):
+                    via.setdefault(p[r], (e, r))
+        acts = [itemgetter(*p) for p in group]
+        tables = dict(zip(firsts, answer_tables(state, firsts, vis)))
+        used = sorted({e for e, _ in via.values()})
+        moves = [acts[e] for e in used]
+        plan = [(used.index(e), *tables[r]) for e, r in map(via.__getitem__, range(n))]
         answered: dict[World, tuple[bool, ...]] = {}
         for w in state:
             if w in answered:
                 continue
-            # agents m .. m+step-1 answer from w rotated back by m seats
-            answers = tuple([
-                table[key(v)][0] != MIXED
-                for v in [w[m:] + w[:m] for m in shifts] for key, table in tables
-            ])
-            for m in shifts:  # w rotated forward by m seats gives the rotated answers
-                answered[w[n - m:] + w[:n - m]] = answers[n - m:] + answers[:n - m]
+            moved = [move(w) for move in moves]
+            answers = tuple([table[key(moved[m])][0] != MIXED for m, key, table in plan])
+            for act in acts:
+                answered[act(w)] = act(answers)
         vectors = map(answered.__getitem__, state)
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):

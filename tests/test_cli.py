@@ -123,6 +123,44 @@ def test_verify_refuses_a_sweep_marker(tmp_path, capsys):
     assert "fixture has a sweep marker; verify needs an actual world" in captured.err
 
 
+def _unreadable(tmp_path, kind, name):
+    """A file that is not UTF-8 text, or a directory, at tmp_path / name."""
+    path = tmp_path / name
+    if kind == "bytes":
+        path.write_bytes(b"\xff\xfe\x00scenario")
+    else:
+        path.mkdir()
+    return path
+
+
+def test_verify_goes_on_past_unreadable_fixtures(tmp_path, capsys):
+    ok = (FIXTURES / "intro_one_red.ck").read_text()
+    expect = (FIXTURES / "intro_one_red.expect").read_text()
+    _unreadable(tmp_path, "bytes", "a.ck")
+    (tmp_path / "a.expect").write_text(expect)
+    _unreadable(tmp_path, "dir", "b.ck")
+    (tmp_path / "b.expect").write_text(expect)
+    (tmp_path / "c.ck").write_text(ok)
+    _unreadable(tmp_path, "bytes", "c.expect")
+    (tmp_path / "d.ck").write_text(ok)
+    (tmp_path / "d.expect").write_text(expect)
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL  a.ck\nFAIL  b.ck\nFAIL  c.ck\nPASS  d.ck\n1/4 fixtures passed\n"
+    assert captured.err.count("error: ") == 3 and "not UTF-8 text" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind", ["bytes", "dir"])
+@pytest.mark.parametrize("command", ["run", "sweep", "stability"])
+def test_unreadable_scenario_is_a_clean_refusal(tmp_path, capsys, command, kind):
+    path = _unreadable(tmp_path, kind, "x.ck")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+
+
 def test_sweep_requires_marker(capsys):
     assert main(["sweep", str(FIXTURES / "intro_one_red.ck")]) == 2
 

@@ -1,6 +1,7 @@
 """Protocol runs, sweeps, streaming, stability, and the profile evaluator."""
 
 import dataclasses
+import hashlib
 import math
 from unittest import mock
 
@@ -35,6 +36,7 @@ from ckgames.scenarios import (
     SumInSet,
     SumOrProduct,
 )
+from ckgames.worlds import KnowledgeState
 
 R, B = 0, 1
 
@@ -202,13 +204,55 @@ def test_rotation_quotient_rows_match_runs(n, constraint, sight):
 
 
 def test_rotation_quotient_has_stabilizers_of_order_2_3_4():
-    # a leaf fixed by rotating the seats by `step` has a stabilizer of order n // step
-    orders = set()
-    for sight in (NearCircle(), FarCircle(), Full()):
+    # leaves fixed by a reflection alone (line sight: the reversal), and by a
+    # reflection with the rotations by a half, a third or a quarter of the circle
+    shapes = set()
+    for sight in (NearCircle(), FarCircle(), Full(), NearLine()):
         for n, constraint in PERIODIC:
             family = periodic(n, constraint, sight, Simultaneous(10))
-            orders |= {n // branch.step for branch, _ in engine._play(family, family.universe())}
-    assert {2, 3, 4} <= orders
+            universe = family.universe()
+            group = engine._sweep_group(family, family.visibility(), universe)
+            for branch, _ in engine._play(family, universe, group=group):
+                perms = [group.perms[e] for e in branch.stabilizer]
+                turns = sum(all(p[i] == (p[0] + i) % n for i in range(n)) for p in perms)
+                shapes.add((type(sight).__name__, turns, len(perms) - turns))
+    assert {("NearLine", 1, 1), ("FarCircle", 1, 1), ("Full", 2, 2), ("Full", 3, 3), ("Full", 4, 4)} <= shapes
+
+
+@pytest.mark.parametrize("sight,protocol,order", [
+    (NearCircle(), Simultaneous(10), 12),
+    (FarCircle(), Simultaneous(10), 12),
+    (Full(), Simultaneous(10), 12),
+    (NearLine(), Simultaneous(10), 2),
+    (Blind(frozenset({0})), Simultaneous(10), 1),
+    (FarCircle(), Circular(tuple(range(6)), 6), 1),
+], ids=["nearcircle", "farcircle", "full", "nearline", "blind", "circular"])
+def test_sweep_group_is_the_symmetry_of_sight_and_universe(sight, protocol, order):
+    # circles and full sight keep the dihedral group of the 6 seats, line sight
+    # the reversal alone; a blind agent and circular turns keep the identity
+    family = periodic(6, HatsExactly(R, 2, 2), sight, protocol)
+    group = engine._sweep_group(family, family.visibility(), family.universe())
+    assert len(group.perms) == order and group.perms[0] == tuple(range(6))
+    if order == 2:
+        assert group.perms[1] == (5, 4, 3, 2, 1, 0)
+    world = (0, 1, 2, 3, 4, 5)
+    for e, act in enumerate(group.acts):
+        assert act(world) == tuple(world[i] for i in group.perms[e])
+        for f, other in enumerate(group.acts):
+            assert group.acts[group.compose[e][f]](world) == act(other(world))
+
+
+def test_sweep_group_needs_a_universe_closed_under_it():
+    # a pair of mirrored worlds keeps the reversal alone; the rotations of a
+    # world unlike its mirror image keep the rotations alone
+    family = periodic(6, HatsExactly(R, 3, 2), NearCircle(), Simultaneous(10))
+    vis = family.visibility()
+    mirrored = KnowledgeState.from_worlds([(0, 0, 1, 1, 1, 0), (0, 1, 1, 1, 0, 0)])
+    assert engine._sweep_group(family, vis, mirrored).perms == ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0))
+    chiral = (0, 0, 1, 0, 1, 1)
+    turned = KnowledgeState.from_worlds(chiral[k:] + chiral[:k] for k in range(6))
+    perms = engine._sweep_group(family, vis, turned).perms
+    assert len(perms) == 6 and all(p == tuple((i + p[0]) % 6 for i in range(6)) for p in perms)
 
 
 @pytest.mark.parametrize("sight", [NearCircle(), FarCircle(), Full()], ids=repr)
@@ -238,13 +282,86 @@ def test_games_without_rotation_symmetry_match_runs(n, constraint, sight, protoc
         protocol = Circular(tuple(range(n)), protocol.max_rounds)
     assert_rows_match_runs(periodic(n, constraint, sight, protocol))
 
+# sha256 of the rows (world, eventual, learners, digest) of families the seat
+# group quotient reduces, recorded before reflections joined the rotations
+FAMILY_ROWS = {
+    (6, HatsExactly(color=0, count=1, n_colors=2), NearCircle()): "7666fd1ec4cab0e00a3933b46988120e1b2c98dcff2226ec003d855c2fbfb2b4",
+    (6, HatsExactly(color=0, count=2, n_colors=2), NearCircle()): "452071f23dcd5be5c3f17888cfca2813ffa9440abc3c88e64e3503f9c4d3a225",
+    (6, HatsExactly(color=0, count=3, n_colors=2), NearCircle()): "fb4df6194c8d9bee58116ffed3942f01cfc8f54adeeae7169758eb22be95a268",
+    (6, HatsExactly(color=0, count=4, n_colors=2), NearCircle()): "38feb51422e3ec8c4bfa69a6d9609b536db107585b83db38dfdf4d559d7c84da",
+    (6, HatsExactly(color=0, count=5, n_colors=2), NearCircle()): "f53552a317fa00d742d8b128e19b9fe09c556c4c38345feb91803851ececa573",
+    (6, HatsAtLeast(color=0, count=1, n_colors=2), NearCircle()): "04dc7797633b9c52df2dcb98baf91bd40884b427d9a40b1dccacbc026a1b0eeb",
+    (7, HatsExactly(color=0, count=1, n_colors=2), NearCircle()): "e81063a9e9cf58d4693466affe976cdc34a9f55ead8e9ecefd090d5af43ea872",
+    (7, HatsExactly(color=0, count=2, n_colors=2), NearCircle()): "f2bdacd2b5d01ecfad6d769f10fdd82b9a84546a1e6c7e0fa64217ed846fbb4e",
+    (7, HatsExactly(color=0, count=3, n_colors=2), NearCircle()): "d5777dbe83d557158d0236e57863db34f3b38c3f2d7ffeb6015dd48b4ea6316c",
+    (7, HatsExactly(color=0, count=4, n_colors=2), NearCircle()): "11f293e98292ae7d7ae25499052786ea49b4740ec088727be8b3c52e6d806905",
+    (7, HatsExactly(color=0, count=5, n_colors=2), NearCircle()): "501e5899dc17f964b901fbcccc39c7f237517a9c73b7c3905ff08665e9620c71",
+    (7, HatsExactly(color=0, count=6, n_colors=2), NearCircle()): "255c463a702fdea193ea298879f3d14a38e6d9e2b30731ae838dc51130691ddb",
+    (7, HatsAtLeast(color=0, count=1, n_colors=2), NearCircle()): "ccfe251ba1c5f7f4ae8d61da6000a48574166d384387fe99a77c0b404a13a7dd",
+    (8, HatsExactly(color=0, count=1, n_colors=2), NearCircle()): "946797de89e5ac91767562c6518e87b9478650fcb6712c148823a7fd44db6905",
+    (8, HatsExactly(color=0, count=2, n_colors=2), NearCircle()): "672f62cd21adc6f9ceaae6063a17796286494f63b271e624292fbee372eb7a45",
+    (8, HatsExactly(color=0, count=3, n_colors=2), NearCircle()): "a1494a3100e61db84757bb0b560ee831fac9b6cb0ba99f8ac6f2000db048f1db",
+    (8, HatsExactly(color=0, count=4, n_colors=2), NearCircle()): "a7fed5bfe0512fdd686870553b9934ab95150ded0197587dda6bd133983b70ae",
+    (8, HatsExactly(color=0, count=5, n_colors=2), NearCircle()): "bce879b84126c1e72704957a9a5280d4548e0cbd81b053781f1630a33776c744",
+    (8, HatsExactly(color=0, count=6, n_colors=2), NearCircle()): "82b1150fbda1c0ca0bf52d3cd2ad357b0a2b4a3379216f5b1e33a880a5d70969",
+    (8, HatsExactly(color=0, count=7, n_colors=2), NearCircle()): "d2d8aefdd29ca01eb40afb2176968dd252a8cf09d3ea905cfa958794429d1840",
+    (8, HatsAtLeast(color=0, count=1, n_colors=2), NearCircle()): "2bb5ca0b455fec7c1d90a1670d7294794c7ce37091369d3f17b3d05a6687e56a",
+    (6, HatsExactly(color=0, count=1, n_colors=2), FarCircle()): "c243881ebb41c2270f0a5c7cff2de1c02384108b900f6005db0954a50e930ccd",
+    (6, HatsExactly(color=0, count=2, n_colors=2), FarCircle()): "e338457084a74c2ee90daae992d47c95fc25ec0ed6ccb64f2cd1428504017e15",
+    (6, HatsExactly(color=0, count=3, n_colors=2), FarCircle()): "1cf8027bab2c3d816ed786dd9deecf28b27baed6fcd57e1722f3e261a51ae07b",
+    (6, HatsExactly(color=0, count=4, n_colors=2), FarCircle()): "3b30ad9502d53c8b175755b65916d493344c03c40a7adc945c27e0079ef83ab7",
+    (6, HatsExactly(color=0, count=5, n_colors=2), FarCircle()): "3713ef7801668fcf70d4ff0eb9a4f88790557b37f1ca46a085d10dc62f11a2f3",
+    (6, HatsAtLeast(color=0, count=1, n_colors=2), FarCircle()): "04dc7797633b9c52df2dcb98baf91bd40884b427d9a40b1dccacbc026a1b0eeb",
+    (7, HatsExactly(color=0, count=1, n_colors=2), FarCircle()): "b8de154a3344c1fe90f9443e67290dd4fe8543d15503fb8d54074e9f5d2ad95a",
+    (7, HatsExactly(color=0, count=2, n_colors=2), FarCircle()): "0d3ad7d2c88d72c0200123e17a3147eadbb61ae911856a946b86c6536e0525ac",
+    (7, HatsExactly(color=0, count=3, n_colors=2), FarCircle()): "8a0df0294b1189fd4d1cffdd9c158917753f7ebd36b1006affe14fe37526d2bb",
+    (7, HatsExactly(color=0, count=4, n_colors=2), FarCircle()): "592c3790a80fea0743d2f0a9fa4d24423205de190f5be5acd977575388a6a1ff",
+    (7, HatsExactly(color=0, count=5, n_colors=2), FarCircle()): "eea117f98b356393ebba7e14f2e1a117536d33fd5f84ec9954290a8b3e4b59c0",
+    (7, HatsExactly(color=0, count=6, n_colors=2), FarCircle()): "4256a5cf3fe07c4f525cbfd660818abc06c91e9fc0e05f184116cda39b217280",
+    (7, HatsAtLeast(color=0, count=1, n_colors=2), FarCircle()): "ccfe251ba1c5f7f4ae8d61da6000a48574166d384387fe99a77c0b404a13a7dd",
+    (8, HatsExactly(color=0, count=1, n_colors=2), FarCircle()): "9d194da574f0a3d1b1c44a91232844ba6c2fdcd1262f3a3e8efa756ab747a566",
+    (8, HatsExactly(color=0, count=2, n_colors=2), FarCircle()): "a2dbc263d637d98125a61d5b658b48b032690ab55059f2f07d084dc0ad5b9a1e",
+    (8, HatsExactly(color=0, count=3, n_colors=2), FarCircle()): "e605a47d1af98bdc8e072d4f0433aef4b5be4d4e99ed0505c35819d496682fd7",
+    (8, HatsExactly(color=0, count=4, n_colors=2), FarCircle()): "dd06fdeec6b1eae44417c23b111e14fe523a8114411d1b8c202f4f5815948012",
+    (8, HatsExactly(color=0, count=5, n_colors=2), FarCircle()): "e0c4e3f19b0ef358207e02c24244c476b96a2ed11490e20cb74c0dc4874c8c74",
+    (8, HatsExactly(color=0, count=6, n_colors=2), FarCircle()): "e4b3c6dc7d1fd1e34bc170dd3d21254de8f49cbff664741904cf2f62119f910d",
+    (8, HatsExactly(color=0, count=7, n_colors=2), FarCircle()): "791a86bf500be6bc07961233a929f89e1a8145d2950e047ef57f34842b258959",
+    (8, HatsAtLeast(color=0, count=1, n_colors=2), FarCircle()): "2bb5ca0b455fec7c1d90a1670d7294794c7ce37091369d3f17b3d05a6687e56a",
+    (7, HatsExactly(color=0, count=1, n_colors=2), Full()): "6472dc5788b657df5b6c043cb42bc6c0447d4b78cdf78a28b36c9edccc9f1fe0",
+    (7, HatsExactly(color=0, count=2, n_colors=2), Full()): "551ae5d55a4ae96b3aacb5924c249ec29dbb27113415f808b905ebf177767e1b",
+    (7, HatsExactly(color=0, count=3, n_colors=2), Full()): "82932c85f26fecb4c460fa3658b0b38650019aa53b464f6651cb797bd606407f",
+    (7, HatsExactly(color=0, count=4, n_colors=2), Full()): "239ae4b2315106db517827ede1cb98b95e1d3592a4bb30e235dcbbbdd1f2c601",
+    (7, HatsExactly(color=0, count=5, n_colors=2), Full()): "e86afaa18b482338a71c8f62e3dcd4501651f3489e18fe6ed1282c11116ba4e8",
+    (7, HatsExactly(color=0, count=6, n_colors=2), Full()): "1aa77c4a012e6dd38cc8e8c6e86cedd51cc95516097a1470db651d8f17a329fe",
+    (7, HatsAtLeast(color=0, count=1, n_colors=2), Full()): "ae00eff19a10b345b2dded698ac969c0ef256fcbc9aeb803662d7aa1cf8f72d8",
+    (6, HatsExactly(color=0, count=1, n_colors=2), NearLine()): "7fbbdd95aab4799b4ef4f0d43d8408f8b153c6e3d5793c7ab093d68980f485a0",
+    (6, HatsExactly(color=0, count=2, n_colors=2), NearLine()): "3258bb9b4012f6e63fba1c66d5cbe5110f59ffaeeceae2d53692325c54f9ca99",
+    (6, HatsExactly(color=0, count=3, n_colors=2), NearLine()): "fb4df6194c8d9bee58116ffed3942f01cfc8f54adeeae7169758eb22be95a268",
+    (6, HatsExactly(color=0, count=4, n_colors=2), NearLine()): "55237e8fd8f6df817e1092cc83043ce5139bb082ceea92a20f233b49c5b01785",
+    (6, HatsExactly(color=0, count=5, n_colors=2), NearLine()): "85e62308fb540f7964450053bdf8384a96aec03e21e73604ff6913943c826235",
+    (6, HatsAtLeast(color=0, count=1, n_colors=2), NearLine()): "04dc7797633b9c52df2dcb98baf91bd40884b427d9a40b1dccacbc026a1b0eeb",
+    (4, MaxDiffExact(diff=2, cap=4), NearLine()): "5547147a975dcd2a5d73db0698b310147a8cfcf7baa5998288eb5602c5fd3fb0",
+}
+
+
+@pytest.mark.parametrize("n,constraint,sight", sorted(FAMILY_ROWS, key=repr), ids=repr)
+def test_sweep_rows_of_symmetric_families_are_pinned(n, constraint, sight):
+    bound = BoundConfig(constraint.cap) if isinstance(constraint, MaxDiffExact) else None
+    family = dataclasses.replace(periodic(n, constraint, sight, Simultaneous(10)), bound=bound)
+    text = "\n".join(
+        repr((r.world, [(e.kind, e.round, e.turn) for e in r.eventual], sorted(r.learners), r.digest))
+        for r in sweep(family).rows
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == FAMILY_ROWS[n, constraint, sight]
+
 
 def test_rotation_quotient_splits_fewer_cells(monkeypatch):
     calls = []
     real = engine.split
     monkeypatch.setattr(engine, "split", lambda *args: calls.append(1) or real(*args))
     report = sweep(periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8)))
-    assert len(calls) < len({r.digest for r in report.rows})
+    # 64 distinct transcripts; rotations alone took 12 splits, rotations and reflections 11
+    assert len({r.digest for r in report.rows}) == 64 and len(calls) == 11
 
 
 def test_sweep_rejects_unknown_orbit():

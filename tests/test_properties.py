@@ -100,31 +100,44 @@ def test_split_matches_reference(case, data):
 
 
 @st.composite
-def rotation_closed_states(draw):
-    """(a state closed under rotating by step seats, in random order, its sight, step).
+def symmetric_states(draw):
+    """(a state closed under a group of symmetries of its sight, in random order, its sight, the group).
 
-    Some worlds repeat a shorter block, so their orbits are shorter than n // step.
+    Circle and full sight draw a subgroup of the dihedral group: the rotations
+    by a multiple of a step dividing n, and with them, maybe, the reflection
+    i -> k - i.  Line sight draws the reversal.  Some worlds repeat a shorter
+    block or read the same backwards, so their orbits are smaller than the group.
     """
     n = draw(st.integers(2, 9))
-    step = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
-    vis = gen_visibility(draw(st.sampled_from([Full(), NearCircle(), FarCircle()] if n > 2 else [Full()])), n)
+    sight = draw(st.sampled_from([Full(), NearCircle(), FarCircle(), NearLine()] if n > 2 else [Full(), NearLine()]))
+    if isinstance(sight, NearLine):
+        generators = [tuple(range(n - 1, -1, -1))]
+    else:
+        step = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        generators = [tuple((i - step) % n for i in range(n))]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            generators.append(tuple((k - i) % n for i in range(n)))
+    group = engine._seat_group(n, generators)
     values = st.integers(0, draw(st.integers(1, 2)))
     seeds = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=8))
     for period in draw(st.lists(st.sampled_from([d for d in range(1, n) if n % d == 0]), max_size=3)):
         seeds.append(tuple(draw(st.tuples(*[values] * period))) * (n // period))
-    closed = {w[m:] + w[:m] for w in seeds for m in range(0, n, step)}
-    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), vis, step
+    for half in draw(st.lists(st.tuples(*[values] * ((n + 1) // 2)), max_size=2)):
+        seeds.append(half + half[: n // 2][::-1])
+    closed = {act(w) for w in seeds for act in group.acts}
+    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), gen_visibility(sight, n), group.perms
 
 
 @settings(max_examples=200, deadline=None)
-@given(rotation_closed_states(), st.data())
+@given(symmetric_states(), st.data())
 def test_orbit_split_matches_plain_split(case, data):
-    # answering one world per rotation orbit must give the groups, and the order
-    # within each group, of answering every world from its own keys
-    state, vis, step = case
+    # answering one world per orbit of the group must give the groups, and the
+    # order within each group, of answering every world from its own keys
+    state, vis, group = case
     n = vis.n_agents
-    groups = split(state, range(n), vis, step)
-    assert groups == split(state, range(n), vis) == split(state, range(n), vis, n)
+    groups = split(state, range(n), vis, group)
+    assert groups == split(state, range(n), vis) == split(state, range(n), vis, group[:1])
     for answers, worlds in groups.items():
         w = data.draw(st.sampled_from(worlds))
         assert answers == tuple(knows_own(i, w, state, vis) for i in range(n))

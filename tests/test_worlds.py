@@ -191,11 +191,15 @@ def test_visibility_equality_ignores_key_functions():
 
 
 def test_orbit_split_refuses_a_partial_step():
-    # answers read from rotated worlds need every agent, in seat order, and a
-    # rotation step that divides the circle
+    # answers read from moved worlds need every agent, in seat order, and a
+    # group of permutations of all the seats
     vis = gen_visibility(NearCircle(), 6)
     state = gen_universe(HatsAtLeast(0, 1, 2), 6)
-    assert split(state, range(6), vis, 2) == split(state, range(6), vis)
-    for speakers, step in [((0,), 1), ((1, 0, 2, 3, 4, 5), 1), (range(6), 4)]:
+    half_turns = [(0, 1, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (4, 5, 0, 1, 2, 3)]
+    mirrors = [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
+    assert split(state, range(6), vis, half_turns) == split(state, range(6), vis)
+    assert split(state, range(6), vis, mirrors) == split(state, range(6), vis)
+    for speakers, group in [((0,), half_turns), ((1, 0, 2, 3, 4, 5), mirrors), (range(5), mirrors),
+                            (range(6), [(0, 1, 2, 3), (1, 2, 3, 0)]), (range(6), [mirrors[0], (0,) * 6])]:
         with pytest.raises(ContractViolation):
-            split(state, speakers, vis, step)
+            split(state, speakers, vis, group)
