@@ -279,21 +279,23 @@ def _children(
     through one element per distinct moved answer vector.  The same symmetry
     lets the split answer one world per orbit.
     """
-    if isinstance(branch.state, _Lazy):
+    lazy = isinstance(branch.state, _Lazy)
+    if lazy:
         parts = [branch.state.narrowed(speakers, vis, actual)]
     else:
         perms = [group.perms[e] for e in branch.stabilizer]
         parts = [
-            (answers, KnowledgeState(tuple(worlds)))
+            (answers, worlds)
             for answers, worlds in split(branch.state, speakers, vis, perms).items()
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
     acts, compose = group.acts, group.compose
     kept = set()
-    for answers, state in parts:
+    for answers, worlds in parts:
         if answers in kept:
             continue
+        state = worlds if lazy else KnowledgeState(tuple(worlds))  # wrapped only once kept
         cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
         stabilizer = []
         for h in branch.stabilizer:
@@ -538,29 +540,41 @@ def run_profiles(
     Incremental partition refinement (Paige & Tarjan 1987).  The holder of v
     in a profile sees the profile minus one v; its candidates are the members
     of that observation group with no YES yet whose values seen have the same
-    first-YES rounds.  A member alone in its class says YES.  Histories that
-    differ once stay different, so classes only split, and a group with no
-    profile that got a YES last round cannot yield a new singleton.
+    first-YES rounds.  A member alone in its class says YES.
+
+    In round 1 no history is set yet, so a holder says YES exactly when its
+    observation group has one member.  Histories that differ once stay
+    different, so classes only split, and later rounds re-key only the groups
+    holding a profile that got a YES in the round before; each group's
+    distinct seen values are derived when it is first re-keyed.  A round with
+    no new YES changes no history, so every later round would be silent too
+    and the refinement stops there.
     """
     table = {prof: dict.fromkeys(prof) for prof in profiles}
     groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     for prof in profiles:
         for obs, v in _observations(prof):
             groups.setdefault(obs, []).append((v, prof))
-    touched: Iterable[tuple[int, ...]] = groups
+    yes = [members[0] for members in groups.values() if len(members) == 1]
+    seen_in: dict[tuple[int, ...], tuple[int, ...]] = {}
     for rnd in range(1, max_rounds + 1):
-        yes = []
-        for obs in touched:
-            seen = tuple(dict.fromkeys(obs))
-            classes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-            for v, prof in groups[obs]:
-                row = table[prof]
-                if row[v] is None:
-                    classes.setdefault(tuple([row[u] for u in seen]), []).append((v, prof))
-            yes += [members[0] for members in classes.values() if len(members) == 1]
+        if rnd > 1:
+            touched = {obs for _, prof in yes for obs, _ in _observations(prof)}
+            yes = []
+            for obs in touched:
+                seen = seen_in.get(obs)
+                if seen is None:
+                    seen = seen_in[obs] = tuple(dict.fromkeys(obs))
+                classes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
+                for v, prof in groups[obs]:
+                    row = table[prof]
+                    if row[v] is None:
+                        classes.setdefault(tuple([row[u] for u in seen]), []).append((v, prof))
+                yes += [members[0] for members in classes.values() if len(members) == 1]
+        if not yes:
+            break
         for v, prof in yes:
             table[prof][v] = rnd
-        touched = {obs for _, prof in yes for obs, _ in _observations(prof)}
     return table
 
 

@@ -28,6 +28,7 @@ from ckgames.scenarios import (
     Full,
     HatsAtLeast,
     HatsExactly,
+    MaxDiffAtMost,
     MaxDiffExact,
     NearCircle,
     NearLine,
@@ -35,6 +36,8 @@ from ckgames.scenarios import (
     Simultaneous,
     SumInSet,
     SumOrProduct,
+    ZeroOne,
+    needs_cap,
 )
 from ckgames.worlds import KnowledgeState
 
@@ -416,18 +419,30 @@ def test_streamed_simultaneous_agrees():
 
 
 def test_profile_evaluator_agrees_with_engine():
-    for n in (3, 4):
-        for d in (1, 2):
-            c = MaxDiffExact(d, 4)
-            table = run_profiles(profile_universe(c, n), 30)
-            family = Scenario("m", tuple(f"a{i}" for i in range(n)), c, Full(),
-                              Simultaneous(30), None, bound=BoundConfig(4))
-            for row in sweep(family).rows:
-                prof = tuple(sorted(row.world))
-                for i, v in enumerate(row.world):
-                    got = row.eventual[i]
-                    expect = table[prof][v]
-                    assert (got.round if got.kind == "learns" else None) == expect
+    # the exact-difference cells take profile_universe's window branch; every
+    # other class sorts the worlds its generator yields
+    families = [(MaxDiffExact(d, 4), n) for n in (3, 4) for d in (1, 2)] + [
+        (HatsAtLeast(0, 1, 2), 5),
+        (HatsAtLeast(0, 1, 2), 6),
+        (HatsExactly(0, 2, 2), 6),
+        (HatsAtLeast(0, 1, 3), 4),
+        (ZeroOne(), 5),
+        (SumInSet((6, 7)), 4),
+        (MaxDiffAtMost(2, 5), 4),
+        (SumOrProduct(12), 3),
+        (ConsecutiveDistinct(6), 4),
+    ]
+    for c, n in families:
+        table = run_profiles(profile_universe(c, n), 30)
+        bound = BoundConfig(c.cap) if needs_cap(c) else None
+        family = Scenario("m", tuple(f"a{i}" for i in range(n)), c, Full(),
+                          Simultaneous(30), None, bound=bound)
+        for row in sweep(family).rows:
+            prof = tuple(sorted(row.world))
+            for i, v in enumerate(row.world):
+                got = row.eventual[i]
+                expect = table[prof][v]
+                assert (got.round if got.kind == "learns" else None) == expect, (c, n, row.world)
 
 
 def test_yes_pattern():

@@ -406,6 +406,14 @@ def maxdiff_profiles(draw):
     return profile_universe(MaxDiffExact(d, cap), n)
 
 
-@given(maxdiff_profiles(), st.integers(1, 8))
+@st.composite
+def any_profiles(draw):
+    """Any set of 0-40 sorted tuples of one length n in 1-5, values 0-4."""
+    n = draw(st.integers(1, 5))
+    profile = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(lambda w: tuple(sorted(w)))
+    return frozenset(draw(st.lists(profile, max_size=40)))
+
+
+@given(st.one_of(maxdiff_profiles(), any_profiles()), st.integers(0, 8))
 def test_profile_evaluator_matches_reference(profiles, max_rounds):
     assert run_profiles(profiles, max_rounds) == reference_run_profiles(profiles, max_rounds)
