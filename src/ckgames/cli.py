@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,10 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run every .ck/.expect pair in a directory")
     p_verify.add_argument("dir")
     p_verify.add_argument("--slow", action="store_true", help="include *.slow.ck fixtures")
+    p_verify.add_argument(
+        "--timings", action="store_true",
+        help="print each fixture's wall time and path (materialized or streamed) to stderr",
+    )
 
     p_sweep = sub.add_parser("sweep", help="run every world of a family (sweep marker)")
     p_sweep.add_argument("path")
@@ -123,8 +128,10 @@ def cmd_verify(args) -> int:
 
     failed = malformed = 0
     for path in fixtures:
+        start = time.perf_counter()
         expect_path = path.with_suffix(".expect")
         problems = None  # set here when the fixture cannot be checked at all
+        mode = "not run"
         try:
             if not expect_path.exists():
                 problems = [f"missing expectation file {expect_path.name}"]
@@ -135,6 +142,8 @@ def cmd_verify(args) -> int:
                     problems = ["fixture has a sweep marker; verify needs an actual world"]
                 else:
                     transcript = engine.run(sc)
+                    streamed = sc.constraint.count_worlds(sc.n_agents) > engine.STREAM_THRESHOLD
+                    mode = "streamed" if streamed else "materialized"
         except (dsl.ParseError, dsl.SemanticError) as e:
             problems = [f"parse error: {e}"]
         except (dsl.ReadError, worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:
@@ -147,6 +156,8 @@ def cmd_verify(args) -> int:
         print(f"{'FAIL' if problems else 'PASS'}  {path.name}")
         for p in problems:
             print(f"      {p}", file=sys.stderr)
+        if args.timings:
+            print(f"time  {path.name}  {time.perf_counter() - start:.4f} s  {mode}", file=sys.stderr)
     total = len(fixtures)
     print(f"{total - failed - malformed}/{total} fixtures passed")
     if malformed:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import scenarios
 from .engine import Eventual, Transcript, transcript_digest
@@ -66,8 +66,7 @@ from .scenarios import (
 JSON_FORMAT = 1
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
     offset: int
@@ -90,21 +89,24 @@ class SemanticError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT INT STRING PUNCT EOF
     text: str
     span: SourceSpan
 
 
+# whitespace and comments match no named group and are skipped; a character
+# no token starts with is BAD, and the empty match at the end of the text is EOF
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}\[\]])
+    [ \t\r\n]+
+  | \#[^\n]*
+  | "(?P<STRING>[^"\n]*)"
+  | (?P<INT>\d+)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<PUNCT>[{}\[\]])
+  | (?P<BAD>.)
+  | (?P<EOF>\Z)
     """,
     re.VERBOSE,
 )
@@ -112,33 +114,21 @@ _TOKEN_RE = re.compile(
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(line, pos - line_start + 1, pos)
-            raise ParseError(span, f"unexpected character {text[pos]!r}")
-        span = SourceSpan(line, pos - line_start + 1, pos)
+    line, line_start, counted = 1, 0, 0  # the line and line start of text[counted]
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "ws" or kind == "comment":
-            pass
-        elif kind == "string":
-            tokens.append(Token("STRING", value[1:-1], span))
-        elif kind == "int":
-            tokens.append(Token("INT", value, span))
-        elif kind == "ident":
-            tokens.append(Token("IDENT", value, span))
-        else:
-            tokens.append(Token("PUNCT", value, span))
-        newlines = value.count("\n")
+        if kind is None:
+            continue
+        pos = m.start()
+        newlines = text.count("\n", counted, pos)
         if newlines:
             line += newlines
-            line_start = pos + value.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("EOF", "", SourceSpan(line, pos - line_start + 1, pos)))
+            line_start = text.rindex("\n", counted, pos) + 1
+        counted = pos
+        span = SourceSpan(line, pos - line_start + 1, pos)
+        if kind == "BAD":
+            raise ParseError(span, f"unexpected character {text[pos]!r}")
+        tokens.append(Token(kind, m.group(kind), span))
     return tokens
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -23,6 +24,7 @@ from . import scenarios
 from .worlds import (
     MIXED,
     KnowledgeState,
+    SeatOrbits,
     VisibilityGraph,
     World,
     answer_str,
@@ -119,34 +121,51 @@ class _Branch(NamedTuple):
     images: Optional[list]
 
 
-class _Group(NamedTuple):
-    """A group of seat permutations; element 0 is the identity.
+class _Group:
+    """A group of seat permutations that map the sight graph `vis` onto itself.
 
-    Element e moves a world, answer vector or eventual tuple x to acts[e](x),
-    whose seat i holds x[perms[e][i]].  compose[e][f] acts as f, then e.
+    Element 0 is the identity.  Element e moves a world, answer vector or
+    eventual tuple x to acts[e](x), whose seat i holds x[perms[e][i]].
+    compose[e][f] acts as f, then e; it is built on first use, since only a
+    sweep's images read it.
     """
 
-    perms: tuple[tuple[int, ...], ...]
-    acts: tuple  # the identity acts as `tuple`, which also takes a circular step's one answer
-    compose: tuple[tuple[int, ...], ...]
+    def __init__(self, perms: tuple[tuple[int, ...], ...], vis: VisibilityGraph):
+        self.perms = perms
+        self.vis = vis
+        # the identity acts as `tuple`, which also takes a circular step's one answer
+        self.acts = (tuple,) + tuple(itemgetter(*p) for p in perms[1:])
+        self._orbits: dict[tuple[int, ...], SeatOrbits | tuple] = {}
+
+    @cached_property
+    def compose(self) -> tuple[tuple[int, ...], ...]:
+        index = {p: e for e, p in enumerate(self.perms)}
+        return tuple(tuple(index[act(q)] for q in self.perms) for act in self.acts)
+
+    def orbits(self, stabilizer: tuple[int, ...]) -> SeatOrbits | tuple:
+        """split's set-up for the subgroup of the elements `stabilizer`, made once; () for the identity."""
+        orbits = self._orbits.get(stabilizer)
+        if orbits is None:
+            perms = [self.perms[e] for e in stabilizer]
+            orbits = self._orbits[stabilizer] = SeatOrbits(perms, self.vis) if len(perms) > 1 else ()
+        return orbits
 
 
-def _seat_group(n: int, generators=()) -> _Group:
-    """The group of permutations of n seats that `generators` generate."""
-    perms = [tuple(range(n))]
+def _seat_group(vis: VisibilityGraph, generators=()) -> _Group:
+    """The group of permutations of the seats of `vis` that `generators` generate."""
+    perms = [tuple(range(vis.n_agents))]
+    known = set(perms)
     for p in perms:  # the list grows while it is walked, until it is closed
         for s in generators:
             q = itemgetter(*p)(s)  # s, then p
-            if q not in perms:
+            if q not in known:
+                known.add(q)
                 perms.append(q)
-    acts = (tuple,) + tuple(itemgetter(*p) for p in perms[1:])
-    index = {p: e for e, p in enumerate(perms)}
-    compose = tuple(tuple(index[act(q)] for q in perms) for act in acts)
-    return _Group(tuple(perms), acts, compose)
+    return _Group(tuple(perms), vis)
 
 
 def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph, universe: KnowledgeState) -> _Group:
-    """The seat permutations a simultaneous sweep may quotient by.
+    """The seat permutations a simultaneous game may quotient by.
 
     Generated by rotation by one seat and by reversal (seat j to n-1-j), each
     kept only if it maps the sight graph and the universe onto themselves:
@@ -156,13 +175,27 @@ def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph, universe: K
     n = vis.n_agents
     generators = []
     if isinstance(scenario.protocol, scenarios.Simultaneous):
-        worlds = set(universe)
-        for p in (tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1))):
+        worlds = universe.members()
+        # rotation and reversal are the same permutation of two seats
+        for p in dict.fromkeys((tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1)))):
             if all(vis.sees[p[i]] == {p[j] for j in vis.sees[i]} for i in range(n)) and (
                 worlds.issuperset(map(itemgetter(*p), worlds))
             ):
                 generators.append(p)
-    return _seat_group(n, generators)
+    return _seat_group(vis, generators)
+
+
+def _pays_for_a_group(size: int, n: int) -> bool:
+    """Whether a run over `size` worlds and n seats is worth setting its seat group up for.
+
+    A split through the group builds at most n - 1 fewer tables than a plain
+    one, each a pass over the worlds, while checking that the universe is
+    closed under the group takes a pass for each of its two generators.  What
+    that leaves of one split must exceed the rest of the set-up: closing the
+    group of at most 2n elements and turning each into getters over the n
+    seats, work on the order of (2n)^2.
+    """
+    return size * (n - 3) > (2 * n) ** 2
 
 
 class _Lazy:
@@ -211,7 +244,7 @@ class _Lazy:
 
 
 def _play(
-    scenario: scenarios.Scenario, root, actual: Optional[World] = None, group: Optional[_Group] = None
+    scenario: scenarios.Scenario, root, group: _Group, actual: Optional[World] = None
 ) -> list[tuple[_Branch, Optional[int]]]:
     """Refine `root` round by round; (branch, round it stabilized or None) per leaf.
 
@@ -222,15 +255,16 @@ def _play(
     answer of a round was YES, or when the round left its size and its number
     of learners unchanged (a certified fixpoint).
 
-    A sweep quotiented by a `group` of seat symmetries keeps one branch per
+    `group` is a group of seat symmetries of `root` and of the sight graph it
+    holds (the identity alone for circular turns and streamed roots).  A
+    branch's stabilizer is its subgroup that maps the branch's state onto
+    itself, and each split of the state goes through it (see worlds.split).
+    A sweep keeps one branch per
     orbit of cells; its `images` are the elements that move it onto the cells
-    it stands for (see sweep).  Without a group, the identity alone.
+    it stands for (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
-    vis = scenario.visibility()
-    if group is None:
-        group = _seat_group(n)
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
     images = [(0, hashlib.sha256())] if actual is None else None
@@ -253,7 +287,7 @@ def _play(
             for speakers, turn, template in plays:
                 branches = [
                     child for branch in branches
-                    for child in _children(branch, speakers, rnd, turn, template, vis, group, actual)
+                    for child in _children(branch, speakers, rnd, turn, template, group, actual)
                 ]
             for branch in branches:
                 said = branch.events[len(start.events):]
@@ -269,7 +303,7 @@ def _play(
 
 
 def _children(
-    branch: _Branch, speakers, rnd: int, turn: int, template: Optional[bytes], vis, group: _Group, actual
+    branch: _Branch, speakers, rnd: int, turn: int, template: Optional[bytes], group: _Group, actual
 ):
     """One child per part of the branch's state after `speakers` answer truthfully.
 
@@ -277,20 +311,20 @@ def _children(
     branch's stabilizer moves each part onto the part with the moved answers,
     so only the first part of each such class is kept; it stands for the rest
     through one element per distinct moved answer vector.  The same symmetry
-    lets the split answer one world per orbit.
+    lets the split build tables for one seat per orbit (see worlds.split).
     """
     lazy = isinstance(branch.state, _Lazy)
     if lazy:
-        parts = [branch.state.narrowed(speakers, vis, actual)]
+        parts = [branch.state.narrowed(speakers, group.vis, actual)]
     else:
-        perms = [group.perms[e] for e in branch.stabilizer]
+        orbits = group.orbits(branch.stabilizer) if len(branch.state) > 1 else ()  # one world needs none
         parts = [
             (answers, worlds)
-            for answers, worlds in split(branch.state, speakers, vis, perms).items()
+            for answers, worlds in split(branch.state, speakers, group.vis, orbits).items()
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
-    acts, compose = group.acts, group.compose
+    acts = group.acts
     kept = set()
     for answers, worlds in parts:
         if answers in kept:
@@ -316,6 +350,7 @@ def _children(
         if branch.images is not None:  # extends each image's transcript_digest text by this step
             yes, no = b"YES,%d" % size, b"NO,%d" % size
             words = tuple([yes if answer else no for answer in answers])
+            compose = group.compose
             images = []
             for e, digest in branch.images:
                 for h in cosets.values():
@@ -343,22 +378,39 @@ def _classify(
 def run(scenario: scenarios.Scenario) -> Transcript:
     """Play the scenario's protocol to completion and return the transcript.
 
+    A held universe is quotiented like a sweep, by the group of seat
+    permutations generated by rotation by one seat and by reversal, each kept
+    only if it maps the sight graph and the universe onto themselves (see
+    _sweep_group).  Each split builds tables for one seat per orbit of the
+    permutations that fix the actual world's cell and, when those outnumber
+    the seats, answers one world per orbit of the cell's worlds.  Circular turns,
+    blind agents, universes closed under neither rotation nor reversal, and
+    universes too small to pay for the set-up (see _pays_for_a_group) keep the
+    identity alone.
+
     Universes above STREAM_THRESHOLD worlds are never held: each step makes a
     pass over the generator until the state is small enough to materialize.
+    Such a streamed run keeps the identity alone.
     """
     scenario.validate()
     actual = scenario.actual
     if actual is None:
         raise EngineError("scenario has a free actual world; use sweep instead")
     n = scenario.n_agents
+    vis = scenario.visibility()
     size = scenario.constraint.count_worlds(n)
     if size > STREAM_THRESHOLD:
         universe = _Lazy(scenario.constraint, n, (), size)
+        group = _seat_group(vis)
     else:
         universe = scenario.universe()
         if actual not in universe:
             raise EngineError("actual world is not a member of the generated universe")
-    ((branch, stabilized),) = _play(scenario, universe, actual)
+        if _pays_for_a_group(len(universe), n):
+            group = _sweep_group(scenario, vis, universe)
+        else:
+            group = _seat_group(vis)
+    ((branch, stabilized),) = _play(scenario, universe, group, actual)
     seen = [set() for _ in range(n)]
     for w in branch.state:
         for values, v in zip(seen, w):
@@ -379,8 +431,7 @@ def run(scenario: scenarios.Scenario) -> Transcript:
 # sweeping a family over all actual worlds
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     world: World
     eventual: tuple[Eventual, ...]
     learners: frozenset[int]
@@ -421,8 +472,9 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     representative's worlds and eventual tuple moved by a permutation, each
     with the digest of its own moved announcements.  A cell that some
     permutations leave as it is (the universe always; with full sight, most
-    big cells) is split once per orbit of its worlds under those permutations
-    (see worlds.split).
+    big cells) is split with tables for one seat per orbit of those
+    permutations on the seats, and once per orbit of its worlds when the
+    permutations outnumber the seats (see worlds.split).
 
     A family with no world is refused with EngineError.
 
@@ -441,7 +493,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     universe = scenario.universe()
     group = _sweep_group(scenario, scenario.visibility(), universe)
     rows = []
-    for branch, stabilized in _play(scenario, universe, group=group):
+    for branch, stabilized in _play(scenario, universe, group):
         eventual = _classify(n, branch.first_yes, stabilized)
         learns = tuple([agent in branch.first_yes for agent in range(n)])
         for e, digest in branch.images:
@@ -449,7 +501,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
             moved, learners = move(eventual), frozenset(itertools.compress(range(n), move(learns)))
             digest = digest.hexdigest()
             rows += [SweepRow(move(w), moved, learners, digest) for w in branch.state]
-    rows.sort(key=lambda r: r.world)
+    rows.sort(key=itemgetter(0))  # by world
 
     if orbit == "rotation":
         grouped: dict[World, list[SweepRow]] = {}

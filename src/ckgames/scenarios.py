@@ -361,7 +361,7 @@ def gen_universe(constraint: Constraint, n: int) -> KnowledgeState:
         raise GenerationError(
             f"universe has {count} worlds; use stream_worlds for families this large"
         )
-    return KnowledgeState.from_worlds(constraint.generate(n))
+    return KnowledgeState(tuple(constraint.generate(n)))  # generators yield strictly increasing worlds
 
 
 def stream_worlds(

@@ -97,10 +97,14 @@ class KnowledgeState:
     def __len__(self) -> int:
         return len(self.worlds)
 
-    def __contains__(self, world: World) -> bool:
-        if self._members is None:  # built on the first membership test
+    def members(self) -> frozenset[World]:
+        """The worlds as a set, built on first use and kept."""
+        if self._members is None:
             object.__setattr__(self, "_members", frozenset(self.worlds))
-        return world in self._members
+        return self._members
+
+    def __contains__(self, world: World) -> bool:
+        return world in self.members()
 
     def __iter__(self):
         return iter(self.worlds)
@@ -158,65 +162,105 @@ def answers_in(tables: list, world: World) -> tuple[bool, ...]:
     return tuple([table[key(world)][0] != MIXED for key, table in tables])
 
 
+class SeatOrbits:
+    """A group of seat permutations of a sight graph, set up once for every split under it.
+
+    p moves a world w to p(w) = tuple(w[p[i]] for each seat i).  If p maps the
+    sight graph onto itself, seat p[r] answers in w as seat r answers in p(w).
+    So tables are needed for the first seat r of each orbit of the group on
+    the seats only: `route` holds per seat s the key function that reads r's
+    observation in p(w) straight off w, and r's place among `firsts`.
+
+    A group with more elements than seats also answers one world per orbit
+    of worlds and gives the other members the answers moved by `acts`.  Every
+    element costs a move of the world and a dict entry, whether or not it
+    makes a new member, and in a small group that costs more than the
+    lookups per seat it saves; a group of at most as many elements as seats
+    answers every world through `route` and has no `acts`.
+    """
+
+    __slots__ = ("vis", "seats", "acts", "firsts", "route")
+
+    def __init__(self, group: Sequence[tuple[int, ...]], vis: VisibilityGraph):
+        seats = tuple(range(vis.n_agents))
+        if any(tuple(sorted(p)) != seats for p in group):
+            raise ContractViolation("a group split needs permutations of the seats")
+        firsts = []
+        route = [None] * len(seats)
+        for r in seats:
+            if route[r] is None:
+                observed = vis.observed(r)
+                for p in group:
+                    if route[p[r]] is None:
+                        route[p[r]] = (_key_fn(tuple([p[j] for j in observed])), len(firsts))
+                firsts.append(r)
+        self.vis = vis
+        self.seats = seats
+        self.acts = tuple([itemgetter(*p) for p in group]) if len(group) > len(seats) else None
+        self.firsts = tuple(firsts)
+        self.route = tuple(route)
+
+
 def split(
-    state: Iterable[World], speakers, vis: VisibilityGraph, group: Sequence[tuple[int, ...]] = ()
+    state: Iterable[World], speakers, vis: VisibilityGraph, group: Sequence[tuple[int, ...]] | SeatOrbits = ()
 ) -> dict:
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
     it, each list in the order of `state`.
 
-    A `group` of more than the identity is a group of seat permutations; p
-    moves a world w to p(w) = tuple(w[p[i]] for each seat i).  It promises that
+    A `group` of more than the identity is a group of seat permutations, or
+    its SeatOrbits for `vis` when many splits share it.  It promises that
     every agent speaks and that each p maps `state` and the sight graph onto
     themselves (p[j] is seen by p[i] exactly when j is seen by i).  Agent i
-    then sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
-    answers of w moved by p.  Tables are built for the first seat of each
-    orbit of the group on the seats; seat p[r] answers in w as seat r answers
-    in p(w).  Each orbit of worlds is answered once, and its other members get
-    the permuted answers.  Without a group, or with the identity alone, every
+    then sees in p(w) what agent p[i] sees in w, so the answers of p(w) are
+    the answers of w moved by p.  Tables are built for the first seat of each
+    orbit of the group on the seats.  A group with more elements than seats
+    answers each orbit of worlds once and gives its other members the moved
+    answers.  Without a group, or with the identity alone, every
     world is answered from its own keys.
     """
     if len(state) == 1:  # every key matches one world, so every speaker knows
         return {(YES,) * len(speakers): list(state)}
-    n = vis.n_agents
-    if len(group) <= 1:
-        tables = answer_tables(state, speakers, vis)
-        columns = [[table[k][0] != MIXED for k in map(key, state)] for key, table in tables]
-        vectors = zip(*columns)
+    if not isinstance(group, SeatOrbits):
+        group = SeatOrbits(group, vis) if len(group) > 1 else None
+    elif group.vis is not vis and group.vis != vis:
+        raise ContractViolation("the seat orbits were set up for another sight graph")
+    if group is None:
+        plan = answer_tables(state, speakers, vis)
     else:
-        seats = list(range(n))
-        if list(speakers) != seats or any(sorted(p) != seats for p in group):
-            raise ContractViolation("a group split needs every agent in seat order and permutations of the seats")
-        via: dict[int, tuple[int, int]] = {}  # seat -> (element, first seat of its orbit)
-        firsts = []
-        for r in seats:
-            if r not in via:
-                firsts.append(r)
-                for e, p in enumerate(group):
-                    via.setdefault(p[r], (e, r))
-        acts = [itemgetter(*p) for p in group]
-        tables = dict(zip(firsts, answer_tables(state, firsts, vis)))
-        used = sorted({e for e, _ in via.values()})
-        moves = [acts[e] for e in used]
-        plan = [(used.index(e), *tables[r]) for e, r in map(via.__getitem__, range(n))]
-        answered: dict[World, tuple[bool, ...]] = {}
-        for w in state:
-            if w in answered:
-                continue
-            moved = [move(w) for move in moves]
-            answers = tuple([table[key(moved[m])][0] != MIXED for m, key, table in plan])
-            for act in acts:
-                answered[act(w)] = act(answers)
-        vectors = map(answered.__getitem__, state)
+        if tuple(speakers) != group.seats:
+            raise ContractViolation("a group split needs every agent in seat order")
+        tables = [table for _, table in answer_tables(state, group.firsts, vis)]
+        plan = [(key, tables[f]) for key, f in group.route]
+    if group is None or group.acts is None:
+        vectors = zip(*[[table[k][0] != MIXED for k in map(key, state)] for key, table in plan])
+    else:
+        vectors = _answers_per_orbit(state, plan, group.acts)
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
-        group = groups.get(answers)
-        if group is None:
+        part = groups.get(answers)
+        if part is None:
             groups[answers] = [w]
         else:
-            group.append(w)
+            part.append(w)
     return groups
+
+
+def _answers_per_orbit(state, plan, acts):
+    """Each world's answers in the order of `state`; the first world met of each
+    orbit is answered through `plan`, and the others get its answers moved."""
+    answered: dict[World, tuple[bool, ...]] = {}
+    images: dict[tuple[bool, ...], list[tuple[bool, ...]]] = {}  # answers -> moved by each element
+    for w in state:
+        answers = answered.get(w)
+        if answers is None:
+            answers = tuple([table[key(w)][0] != MIXED for key, table in plan])
+            moved = images.get(answers)
+            if moved is None:
+                moved = images[answers] = [act(answers) for act in acts]
+            answered.update(zip([act(w) for act in acts], moved))
+        yield answers
 
 
 def answers_for_all(state: KnowledgeState, vis: VisibilityGraph) -> dict[World, tuple[bool, ...]]:

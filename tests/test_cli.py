@@ -102,6 +102,30 @@ def test_contract_violation_is_a_clean_refusal(capsys, monkeypatch, argv):
     assert "Traceback" not in err
 
 
+def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
+    # one fixture passes, one fails its expectation, one has no expectation;
+    # with a budget of 5 worlds intro_two_reds (7 worlds) starts streamed and
+    # nearsighted_sim_n4 (4 worlds) is held
+    for name in ("intro_two_reds", "nearsighted_sim_n4"):
+        (tmp_path / f"{name}.ck").write_text((FIXTURES / f"{name}.ck").read_text())
+    (tmp_path / "nearsighted_sim_n4.expect").write_text((FIXTURES / "nearsighted_sim_n4.expect").read_text())
+    (tmp_path / "intro_two_reds.expect").write_text("eventual: alice=round2\n")
+    (tmp_path / "lone.ck").write_text((FIXTURES / "intro_one_red.ck").read_text())
+    monkeypatch.setattr(engine, "STREAM_THRESHOLD", 5)
+    plain = main(["verify", str(tmp_path)]), capsys.readouterr()
+    timed = main(["verify", str(tmp_path), "--timings"]), capsys.readouterr()
+    assert plain[0] == timed[0] == 2
+    assert timed[1].out == plain[1].out
+    times = [line.split() for line in timed[1].err.splitlines() if line.startswith("time  ")]
+    assert [(t[1], t[3], t[4:]) for t in times] == [
+        ("intro_two_reds.ck", "s", ["streamed"]), ("lone.ck", "s", ["not", "run"]),
+        ("nearsighted_sim_n4.ck", "s", ["materialized"]),
+    ]
+    assert all(float(t[2]) >= 0 for t in times)
+    rest = [line for line in timed[1].err.splitlines() if not line.startswith("time  ")]
+    assert rest == plain[1].err.splitlines()
+
+
 def test_verify_empty_dir(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
 

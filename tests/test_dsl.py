@@ -62,6 +62,27 @@ def test_parse_syntax_error_span():
     assert err.value.span.line == 2
 
 
+def test_error_spans_after_comments_and_multiline_whitespace():
+    # a comment ending a line, blank and indented lines, and CRLF line ends
+    # before the offending token; columns count from 1 after the last newline
+    text = 'scenario "x" { # note { } [ ]\n\n   \t\n  agents a b # two\r\n\r\n\t  announce sop ?'
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.span.line, err.value.span.column) == (6, 17)
+    assert err.value.span.offset == text.index("?")
+    assert str(err.value) == "6:17: unexpected character '?'"
+    # the end of the text, after a trailing comment and blank lines
+    with pytest.raises(ParseError) as err:
+        parse('scenario "x" {\n  agents a b # last\n\n  ')
+    assert str(err.value).startswith("4:3: expected one of {agents, ")
+    assert str(err.value).endswith(", found 'EOF'")
+    # a semantic error points at the token that names it, after a comment
+    with pytest.raises(SemanticError) as err:
+        parse('scenario "x" {\n  # agents a a\n  agents b\n     b\n'
+              '  announce sop 6 sight full protocol simultaneous rounds 2 actual [ 1 6 ] }')
+    assert str(err.value).startswith("3:10: ")
+
+
 def test_parse_unknown_agent_in_order():
     with pytest.raises(SemanticError):
         parse('''

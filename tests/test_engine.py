@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from ckgames import engine
+from ckgames import engine, worlds
 from ckgames.engine import (
     EngineError,
     Eventual,
@@ -365,6 +365,44 @@ def test_rotation_quotient_splits_fewer_cells(monkeypatch):
     report = sweep(periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8)))
     # 64 distinct transcripts; rotations alone took 12 splits, rotations and reflections 11
     assert len({r.digest for r in report.rows}) == 64 and len(calls) == 11
+
+
+def tables_per_split(monkeypatch, sc):
+    """The speakers each answer_tables call of run(sc) builds tables for, in order."""
+    calls = []
+    real = worlds.answer_tables
+
+    def counted(state, speakers, vis):
+        calls.append(tuple(speakers))
+        return real(state, speakers, vis)
+
+    monkeypatch.setattr(worlds, "answer_tables", counted)
+    run(sc)
+    return calls
+
+
+def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
+    # full sight over 6 seats keeps the dihedral group, whose orbit on the
+    # seats is all of them: the first split builds one table, not six
+    sc = Scenario("q", tuple(f"a{i}" for i in range(6)), HatsAtLeast(R, 1, 2), Full(), Simultaneous(8),
+                  (0, 0, 1, 0, 1, 1))
+    assert tables_per_split(monkeypatch, sc)[0] == (0,)
+    # a blind agent leaves the identity alone: one table per seat
+    blind = dataclasses.replace(sc, sight=Blind(frozenset({0})))
+    assert tables_per_split(monkeypatch, blind)[0] == tuple(range(6))
+    # line sight keeps the reversal, whose seat orbits are {0, 5}, {1, 4}, {2, 3}
+    line = dataclasses.replace(sc, sight=NearLine())
+    assert tables_per_split(monkeypatch, line)[0] == (0, 1, 2)
+
+
+def test_run_keeps_the_identity_where_the_group_costs_more_than_it_saves(monkeypatch):
+    # on two or three seats a split saves no more table passes than checking
+    # the universe takes; 15 worlds over 4 seats (zeroone_two_zeros) are too
+    # few to pay for the rest of the set-up, 63 over 6 seats are enough
+    assert not any(engine._pays_for_a_group(engine.STREAM_THRESHOLD, n) for n in (2, 3))
+    assert not engine._pays_for_a_group(15, 4) and engine._pays_for_a_group(63, 6)
+    small = Scenario("s", ("a", "b", "c"), HatsAtLeast(R, 1, 2), Full(), Simultaneous(8), (0, 1, 1))
+    assert tables_per_split(monkeypatch, small)[0] == (0, 1, 2)
 
 
 def test_sweep_rejects_unknown_orbit():

@@ -118,7 +118,8 @@ def symmetric_states(draw):
         if draw(st.booleans()):
             k = draw(st.integers(0, n - 1))
             generators.append(tuple((k - i) % n for i in range(n)))
-    group = engine._seat_group(n, generators)
+    vis = gen_visibility(sight, n)
+    group = engine._seat_group(vis, generators)
     values = st.integers(0, draw(st.integers(1, 2)))
     seeds = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=8))
     for period in draw(st.lists(st.sampled_from([d for d in range(1, n) if n % d == 0]), max_size=3)):
@@ -126,7 +127,7 @@ def symmetric_states(draw):
     for half in draw(st.lists(st.tuples(*[values] * ((n + 1) // 2)), max_size=2)):
         seeds.append(half + half[: n // 2][::-1])
     closed = {act(w) for w in seeds for act in group.acts}
-    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), gen_visibility(sight, n), group.perms
+    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), vis, group.perms
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,6 +258,44 @@ def test_run_streamed_run_and_sweep_agree(family, data):
         assert lazy.stabilized_at == direct.stabilized_at
         assert lazy.final_candidates == direct.final_candidates
         assert transcript_digest(direct.events) == row.digest
+
+
+def replay(sc: Scenario):
+    """(events, eventual, stabilized_at, final candidates) of a simultaneous run,
+    answered by knows_own and filtered by filter_simultaneous, one round at a time."""
+    n, vis = sc.n_agents, sc.visibility()
+    state = gen_universe(sc.constraint, n)
+    events, first, stabilized = [], {}, None
+    for rnd in range(1, sc.protocol.max_rounds + 1):
+        answers = answer_vector(state, sc.actual, vis)
+        kept = filter_simultaneous(state, answers, vis)
+        events += [engine.Event(rnd, rnd, i, a, len(kept)) for i, a in enumerate(answers)]
+        learned = {i: engine.Eventual.learns(rnd, rnd) for i, a in enumerate(answers) if a and i not in first}
+        first.update(learned)
+        if all(answers) or (len(kept) == len(state) and not learned):
+            stabilized = rnd
+            break
+        state = kept
+    rest = engine.Eventual.never() if stabilized is not None else engine.Eventual.unknown()
+    eventual = tuple(first.get(i, rest) for i in range(n))
+    candidates = tuple(tuple(sorted({w[i] for w in kept})) for i in range(n))
+    return tuple(events), eventual, stabilized, candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_families().filter(lambda f: isinstance(f.protocol, Simultaneous)), st.data())
+def test_quotiented_run_matches_reference_replay(family, data):
+    # run() against a replay by knows_own and filter_simultaneous, both as it
+    # chooses the seat group and with the group set up for every universe
+    worlds = list(gen_universe(family.constraint, family.n_agents))
+    for actual in data.draw(st.lists(st.sampled_from(worlds), min_size=1, max_size=4, unique=True)):
+        sc = dataclasses.replace(family, actual=actual)
+        expected = replay(sc)
+        t = run(sc)
+        assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == expected, actual
+        with mock.patch.object(engine, "_pays_for_a_group", lambda size, n: True):
+            t = run(sc)
+        assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == expected, actual
 
 
 @st.composite
