@@ -19,7 +19,6 @@ from .worlds import (
     filter_simultaneous,
     filter_turn,
     knows_own,
-    observe,
 )
 from .scenarios import (
     Blind,

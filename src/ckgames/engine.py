@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -24,7 +23,7 @@ from . import scenarios
 from .worlds import (
     MIXED,
     KnowledgeState,
-    SeatOrbits,
+    SeatGroup,
     VisibilityGraph,
     World,
     answer_str,
@@ -121,79 +120,38 @@ class _Branch(NamedTuple):
     images: Optional[list]
 
 
-class _Group:
-    """A group of seat permutations that map the sight graph `vis` onto itself.
-
-    Element 0 is the identity.  Element e moves a world, answer vector or
-    eventual tuple x to acts[e](x), whose seat i holds x[perms[e][i]].
-    compose[e][f] acts as f, then e; it is built on first use, since only a
-    sweep's images read it.
-    """
-
-    def __init__(self, perms: tuple[tuple[int, ...], ...], vis: VisibilityGraph):
-        self.perms = perms
-        self.vis = vis
-        # the identity acts as `tuple`, which also takes a circular step's one answer
-        self.acts = (tuple,) + tuple(itemgetter(*p) for p in perms[1:])
-        self._orbits: dict[tuple[int, ...], SeatOrbits | tuple] = {}
-
-    @cached_property
-    def compose(self) -> tuple[tuple[int, ...], ...]:
-        index = {p: e for e, p in enumerate(self.perms)}
-        return tuple(tuple(index[act(q)] for q in self.perms) for act in self.acts)
-
-    def orbits(self, stabilizer: tuple[int, ...]) -> SeatOrbits | tuple:
-        """split's set-up for the subgroup of the elements `stabilizer`, made once; () for the identity."""
-        orbits = self._orbits.get(stabilizer)
-        if orbits is None:
-            perms = [self.perms[e] for e in stabilizer]
-            orbits = self._orbits[stabilizer] = SeatOrbits(perms, self.vis) if len(perms) > 1 else ()
-        return orbits
-
-
-def _seat_group(vis: VisibilityGraph, generators=()) -> _Group:
-    """The group of permutations of the seats of `vis` that `generators` generate."""
-    perms = [tuple(range(vis.n_agents))]
-    known = set(perms)
-    for p in perms:  # the list grows while it is walked, until it is closed
-        for s in generators:
-            q = itemgetter(*p)(s)  # s, then p
-            if q not in known:
-                known.add(q)
-                perms.append(q)
-    return _Group(tuple(perms), vis)
-
-
-def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph, universe: KnowledgeState) -> _Group:
+def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph) -> SeatGroup:
     """The seat permutations a simultaneous game may quotient by.
 
     Generated by rotation by one seat and by reversal (seat j to n-1-j), each
-    kept only if it maps the sight graph and the universe onto themselves:
-    the dihedral group for circle and full sight, reversal alone for line
-    sight, the identity alone for circular turns and blind agents.
+    kept only if it maps the sight graph onto itself: the dihedral group for
+    circle and full sight, reversal alone for line sight, the identity alone
+    for circular turns and blind agents.  Every universe is closed under
+    every seat permutation (see scenarios), so the sight graph decides.
     """
     n = vis.n_agents
     generators = []
     if isinstance(scenario.protocol, scenarios.Simultaneous):
-        worlds = universe.members()
         # rotation and reversal are the same permutation of two seats
         for p in dict.fromkeys((tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1)))):
-            if all(vis.sees[p[i]] == {p[j] for j in vis.sees[i]} for i in range(n)) and (
-                worlds.issuperset(map(itemgetter(*p), worlds))
-            ):
+            if vis.maps_onto_itself(p):
                 generators.append(p)
-    return _seat_group(vis, generators)
+    return SeatGroup(vis, generators)
 
 
 def _pays_for_a_group(size: int, n: int) -> bool:
     """Whether a run over `size` worlds and n seats is worth setting its seat group up for.
 
     A split through the group builds at most n - 1 fewer tables than a plain
-    one, each a pass over the worlds, while checking that the universe is
-    closed under the group takes a pass for each of its two generators.  What
-    that leaves of one split must exceed the rest of the set-up: closing the
-    group of at most 2n elements and turning each into getters over the n
-    seats, work on the order of (2n)^2.
+    one, each a pass over the worlds.  Against that stand closing the group
+    of at most 2n elements and routing each seat through it, work on the
+    order of (2n)^2, and about two passes of the quotient's own: it looks
+    every world up among the answered ones and moves one world per orbit by
+    every element.  Measured against the identity (best of 40 runs of hat
+    and difference universes), the group pays from about 100 worlds on two
+    seats and 200 on three, where the rule never quotients; from about 70 to
+    100 on four and 40 to 50 on five or six, where it quotients from 65, 51
+    and 49; and from about 30 on eight or ten, where it waits for 52 and 58.
     """
     return size * (n - 3) > (2 * n) ** 2
 
@@ -244,7 +202,7 @@ class _Lazy:
 
 
 def _play(
-    scenario: scenarios.Scenario, root, group: _Group, actual: Optional[World] = None
+    scenario: scenarios.Scenario, root, group: SeatGroup, actual: Optional[World] = None
 ) -> list[tuple[_Branch, Optional[int]]]:
     """Refine `root` round by round; (branch, round it stabilized or None) per leaf.
 
@@ -255,13 +213,13 @@ def _play(
     answer of a round was YES, or when the round left its size and its number
     of learners unchanged (a certified fixpoint).
 
-    `group` is a group of seat symmetries of `root` and of the sight graph it
-    holds (the identity alone for circular turns and streamed roots).  A
-    branch's stabilizer is its subgroup that maps the branch's state onto
-    itself, and each split of the state goes through it (see worlds.split).
-    A sweep keeps one branch per
-    orbit of cells; its `images` are the elements that move it onto the cells
-    it stands for (see sweep).
+    `group` is a SeatGroup of the sight graph; `root`, a universe, is closed
+    under every seat permutation (see scenarios), so under the group too.
+    Circular turns and streamed roots take the identity alone.  A branch's
+    stabilizer is its subgroup that maps the branch's state onto itself, and
+    each split of the state goes through it (see worlds.split).  A sweep
+    keeps one branch per orbit of cells; its `images` are the elements that
+    move it onto the cells it stands for (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
@@ -303,7 +261,7 @@ def _play(
 
 
 def _children(
-    branch: _Branch, speakers, rnd: int, turn: int, template: Optional[bytes], group: _Group, actual
+    branch: _Branch, speakers, rnd: int, turn: int, template: Optional[bytes], group: SeatGroup, actual
 ):
     """One child per part of the branch's state after `speakers` answer truthfully.
 
@@ -317,10 +275,10 @@ def _children(
     if lazy:
         parts = [branch.state.narrowed(speakers, group.vis, actual)]
     else:
-        orbits = group.orbits(branch.stabilizer) if len(branch.state) > 1 else ()  # one world needs none
+        subgroup = group.subgroup(branch.stabilizer) if len(branch.state) > 1 else None  # one world needs none
         parts = [
             (answers, worlds)
-            for answers, worlds in split(branch.state, speakers, group.vis, orbits).items()
+            for answers, worlds in split(branch.state, speakers, group.vis, subgroup).items()
             if actual is None or actual in worlds
         ]
     learned = Eventual.learns(rnd, turn)
@@ -380,13 +338,12 @@ def run(scenario: scenarios.Scenario) -> Transcript:
 
     A held universe is quotiented like a sweep, by the group of seat
     permutations generated by rotation by one seat and by reversal, each kept
-    only if it maps the sight graph and the universe onto themselves (see
-    _sweep_group).  Each split builds tables for one seat per orbit of the
-    permutations that fix the actual world's cell and, when those outnumber
-    the seats, answers one world per orbit of the cell's worlds.  Circular turns,
-    blind agents, universes closed under neither rotation nor reversal, and
-    universes too small to pay for the set-up (see _pays_for_a_group) keep the
-    identity alone.
+    only if it maps the sight graph onto itself (see _sweep_group).  Each
+    split builds tables for one seat per orbit of the permutations that fix
+    the actual world's cell and, when those outnumber the seats, answers one
+    world per orbit of the cell's worlds.  Circular turns, blind agents and
+    universes too small to pay for the set-up (see _pays_for_a_group) keep
+    the identity alone.
 
     Universes above STREAM_THRESHOLD worlds are never held: each step makes a
     pass over the generator until the state is small enough to materialize.
@@ -401,15 +358,12 @@ def run(scenario: scenarios.Scenario) -> Transcript:
     size = scenario.constraint.count_worlds(n)
     if size > STREAM_THRESHOLD:
         universe = _Lazy(scenario.constraint, n, (), size)
-        group = _seat_group(vis)
+        group = SeatGroup(vis)
     else:
         universe = scenario.universe()
         if actual not in universe:
             raise EngineError("actual world is not a member of the generated universe")
-        if _pays_for_a_group(len(universe), n):
-            group = _sweep_group(scenario, vis, universe)
-        else:
-            group = _seat_group(vis)
+        group = _sweep_group(scenario, vis) if _pays_for_a_group(len(universe), n) else SeatGroup(vis)
     ((branch, stabilized),) = _play(scenario, universe, group, actual)
     seen = [set() for _ in range(n)]
     for w in branch.state:
@@ -448,10 +402,6 @@ class SweepReport:
     def min_learners(self) -> int:
         return min(len(r.learners) for r in self.rows)
 
-    def argmin_worlds(self) -> tuple[World, ...]:
-        lo = self.min_learners()
-        return tuple(r.world for r in self.rows if len(r.learners) == lo)
-
 
 def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepReport:
     """Run every world of the family as the actual world.
@@ -463,12 +413,13 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     calling run() per world.
 
     A simultaneous game is quotiented by the seat permutations that map its
-    sight graph and universe onto themselves (Emerson & Sistla 1996; Ip & Dill
-    1996): the group generated by rotation by one seat and by reversal, when
-    they qualify (see _sweep_group).  Circle and full sight over hats keep the
-    dihedral group, line sight keeps reversal, and circular turns, blind
-    agents and universes closed under neither keep the identity alone.  One
-    cell per orbit is refined.  The rows of the other cells are the
+    sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996): the
+    group generated by rotation by one seat and by reversal, when they
+    qualify (see _sweep_group).  The universe is closed under every seat
+    permutation (see scenarios), so the sight graph alone decides.  Circle
+    and full sight keep the dihedral group, line sight keeps reversal, and
+    circular turns and blind agents keep the identity alone.  One cell per
+    orbit is refined.  The rows of the other cells are the
     representative's worlds and eventual tuple moved by a permutation, each
     with the digest of its own moved announcements.  A cell that some
     permutations leave as it is (the universe always; with full sight, most
@@ -491,7 +442,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
     universe = scenario.universe()
-    group = _sweep_group(scenario, scenario.visibility(), universe)
+    group = _sweep_group(scenario, scenario.visibility())
     rows = []
     for branch, stabilized in _play(scenario, universe, group):
         eventual = _classify(n, branch.first_yes, stabilized)

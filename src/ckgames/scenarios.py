@@ -5,6 +5,14 @@ order, test membership, and report an exact count without enumerating.  The
 constraints whose natural universe is infinite (exact or at-most maximum
 difference, consecutive numbers) carry an explicit value cap; the cap is a
 finite proxy validated by the engine's stability check, not by construction.
+
+Every constraint is exchangeable: it accepts a world by its multiset of
+values, never by which seat holds which value, so `contains(w)` equals
+`contains(p(w))` for every permutation p of the seats and every universe is
+closed under all of them.  The engine relies on this: it takes its seat
+symmetries from the sight graph and the protocol alone and never checks the
+universe (see engine._sweep_group).  A new constraint class must keep the
+contract; test_properties checks it for every class.
 """
 
 from __future__ import annotations

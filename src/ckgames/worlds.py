@@ -10,8 +10,9 @@ would have been made.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 World = tuple[int, ...]
 
@@ -62,19 +63,14 @@ class VisibilityGraph:
             raise ContractViolation(f"agent index {agent} out of range")
         return tuple(sorted(self.sees[agent]))
 
-
-def observe(agent: int, world: World, vis: VisibilityGraph) -> dict[int, int]:
-    """Restrict `world` to what `agent` sees: a mapping observed-agent -> value.
-
-    Observations are identity keyed: agents know who sits where, so seeing the
-    same multiset of values on different neighbours is not the same observation.
-    """
-    return {j: world[j] for j in vis.observed(agent)}
+    def maps_onto_itself(self, p: Sequence[int]) -> bool:
+        """Whether the seat permutation p maps the graph onto itself: p[i] sees p[j] exactly when i sees j."""
+        return all(self.sees[q] == set(map(p.__getitem__, seen)) for q, seen in zip(p, self.sees))
 
 
 def _obs_key(agent: int, world: World, vis: VisibilityGraph) -> tuple[int, ...]:
-    # Tuple in sorted-agent order; equivalent to the observe() mapping but hashable
-    # and cheap, used as a grouping key everywhere.
+    # the values agent sees, in sorted-agent order: agents know who sits where, so
+    # the same values on different neighbours are not the same observation
     return tuple(world[j] for j in vis.observed(agent))
 
 
@@ -162,81 +158,123 @@ def answers_in(tables: list, world: World) -> tuple[bool, ...]:
     return tuple([table[key(world)][0] != MIXED for key, table in tables])
 
 
-class SeatOrbits:
-    """A group of seat permutations of a sight graph, set up once for every split under it.
+class SeatGroup:
+    """The group that `generators` generate, each a permutation of the seats and a symmetry of `vis`.
 
-    p moves a world w to p(w) = tuple(w[p[i]] for each seat i).  If p maps the
-    sight graph onto itself, seat p[r] answers in w as seat r answers in p(w).
-    So tables are needed for the first seat r of each orbit of the group on
-    the seats only: `route` holds per seat s the key function that reads r's
-    observation in p(w) straight off w, and r's place among `firsts`.
+    Element 0 is the identity.  Element e moves a world, answer vector or
+    eventual tuple x to acts[e](x), whose seat i holds x[perms[e][i]], and
+    compose[e][f] acts as f, then e.  A generator that is not a permutation
+    of the seats, or that does not map the sight graph onto itself, is
+    refused with ContractViolation.
+
+    If p maps the sight graph onto itself, seat p[r] answers in w as seat r
+    answers in p(w).  So a split of a state closed under the group needs
+    tables for the first seat r of each orbit of the group on the seats
+    only: in `plan`, `route` holds per seat s the key function that reads
+    r's observation in p(w) straight off w, and r's place among `firsts`.
 
     A group with more elements than seats also answers one world per orbit
-    of worlds and gives the other members the answers moved by `acts`.  Every
-    element costs a move of the world and a dict entry, whether or not it
-    makes a new member, and in a small group that costs more than the
+    of worlds and gives the other members the answers moved by its acts.
+    Every element costs a move of the world and a dict entry, whether or not
+    it makes a new member, and in a small group that costs more than the
     lookups per seat it saves; a group of at most as many elements as seats
-    answers every world through `route` and has no `acts`.
+    answers every world through `route`, and its plan has no acts.
     """
 
-    __slots__ = ("vis", "seats", "acts", "firsts", "route")
-
-    def __init__(self, group: Sequence[tuple[int, ...]], vis: VisibilityGraph):
+    def __init__(self, vis: VisibilityGraph, generators: Iterable[Sequence[int]] = ()):
         seats = tuple(range(vis.n_agents))
-        if any(tuple(sorted(p)) != seats for p in group):
-            raise ContractViolation("a group split needs permutations of the seats")
+        generators = [tuple(p) for p in generators]
+        for p in generators:
+            if tuple(sorted(p)) != seats:
+                raise ContractViolation("a seat group needs permutations of the seats")
+            if not vis.maps_onto_itself(p):
+                raise ContractViolation(f"{p} does not map the sight graph onto itself")
+        generators = [p for p in generators if p != seats]
+        perms = [seats]
+        known = set(perms)
+        for p in perms:  # the list grows while it is walked, until it is closed
+            move = itemgetter(*p)
+            for s in generators:
+                q = move(s)  # s, then p
+                if q not in known:
+                    known.add(q)
+                    perms.append(q)
+        # the identity acts as `tuple`, which also takes a circular step's one answer
+        self._hold(vis, tuple(perms), (tuple,) + tuple([itemgetter(*p) for p in perms[1:]]))
+
+    def _hold(self, vis: VisibilityGraph, perms: tuple[tuple[int, ...], ...], acts: tuple) -> None:
+        self.vis = vis
+        self.perms = perms
+        self.acts = acts
+        self._subgroups: dict[tuple[int, ...], SeatGroup] = {}
+
+    @cached_property
+    def compose(self) -> tuple[tuple[int, ...], ...]:
+        index = {p: e for e, p in enumerate(self.perms)}
+        return tuple(tuple(index[act(q)] for q in self.perms) for act in self.acts)
+
+    @cached_property
+    def plan(self) -> tuple:
+        """split's set-up: (firsts, route, acts, or None for a group of at most as many elements as seats)."""
+        seats = range(self.vis.n_agents)
         firsts = []
         route = [None] * len(seats)
         for r in seats:
             if route[r] is None:
-                observed = vis.observed(r)
-                for p in group:
+                observed = self.vis.observed(r)
+                for p in self.perms:
                     if route[p[r]] is None:
                         route[p[r]] = (_key_fn(tuple([p[j] for j in observed])), len(firsts))
                 firsts.append(r)
-        self.vis = vis
-        self.seats = seats
-        self.acts = tuple([itemgetter(*p) for p in group]) if len(group) > len(seats) else None
-        self.firsts = tuple(firsts)
-        self.route = tuple(route)
+        return tuple(firsts), tuple(route), self.acts if len(self.perms) > len(seats) else None
+
+    def subgroup(self, elements: tuple[int, ...]) -> "SeatGroup":
+        """The subgroup of the elements numbered `elements`, ascending from 0, made once.
+
+        Its elements are checked and closed already, so it takes them and their acts as they are.
+        """
+        if len(elements) == len(self.perms):
+            return self
+        sub = self._subgroups.get(elements)
+        if sub is None:
+            sub = self._subgroups[elements] = object.__new__(SeatGroup)
+            sub._hold(self.vis, tuple([self.perms[e] for e in elements]), tuple([self.acts[e] for e in elements]))
+        return sub
 
 
-def split(
-    state: Iterable[World], speakers, vis: VisibilityGraph, group: Sequence[tuple[int, ...]] | SeatOrbits = ()
-) -> dict:
+def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None) -> dict:
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
     it, each list in the order of `state`.
 
-    A `group` of more than the identity is a group of seat permutations, or
-    its SeatOrbits for `vis` when many splits share it.  It promises that
-    every agent speaks and that each p maps `state` and the sight graph onto
-    themselves (p[j] is seen by p[i] exactly when j is seen by i).  Agent i
-    then sees in p(w) what agent p[i] sees in w, so the answers of p(w) are
-    the answers of w moved by p.  Tables are built for the first seat of each
+    A `group` is a SeatGroup of `vis` under which `state` is closed, and it
+    needs every agent to speak, in seat order.  A universe built by
+    scenarios.gen_universe is closed under every permutation of the seats
+    (see scenarios), so under any SeatGroup.  For p in the group, agent i
+    sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
+    answers of w moved by p.  Tables are built for the first seat of each
     orbit of the group on the seats.  A group with more elements than seats
     answers each orbit of worlds once and gives its other members the moved
-    answers.  Without a group, or with the identity alone, every
-    world is answered from its own keys.
+    answers.  Without a group, or with the identity alone, every world is
+    answered from its own keys.
     """
     if len(state) == 1:  # every key matches one world, so every speaker knows
         return {(YES,) * len(speakers): list(state)}
-    if not isinstance(group, SeatOrbits):
-        group = SeatOrbits(group, vis) if len(group) > 1 else None
-    elif group.vis is not vis and group.vis != vis:
-        raise ContractViolation("the seat orbits were set up for another sight graph")
-    if group is None:
-        plan = answer_tables(state, speakers, vis)
+    if group is not None and group.vis is not vis and group.vis != vis:
+        raise ContractViolation("the seat group was set up for another sight graph")
+    if group is None or len(group.perms) == 1:
+        plan, acts = answer_tables(state, speakers, vis), None
     else:
-        if tuple(speakers) != group.seats:
+        if tuple(speakers) != tuple(range(vis.n_agents)):
             raise ContractViolation("a group split needs every agent in seat order")
-        tables = [table for _, table in answer_tables(state, group.firsts, vis)]
-        plan = [(key, tables[f]) for key, f in group.route]
-    if group is None or group.acts is None:
+        firsts, route, acts = group.plan
+        tables = [table for _, table in answer_tables(state, firsts, vis)]
+        plan = [(key, tables[f]) for key, f in route]
+    if acts is None:
         vectors = zip(*[[table[k][0] != MIXED for k in map(key, state)] for key, table in plan])
     else:
-        vectors = _answers_per_orbit(state, plan, group.acts)
+        vectors = _answers_per_orbit(state, plan, acts)
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
         part = groups.get(answers)

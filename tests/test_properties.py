@@ -33,6 +33,7 @@ from ckgames.scenarios import (
 )
 from ckgames.worlds import (
     KnowledgeState,
+    SeatGroup,
     VisibilityGraph,
     answer_vector,
     answers_for_all,
@@ -119,7 +120,7 @@ def symmetric_states(draw):
             k = draw(st.integers(0, n - 1))
             generators.append(tuple((k - i) % n for i in range(n)))
     vis = gen_visibility(sight, n)
-    group = engine._seat_group(vis, generators)
+    group = SeatGroup(vis, generators)
     values = st.integers(0, draw(st.integers(1, 2)))
     seeds = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=8))
     for period in draw(st.lists(st.sampled_from([d for d in range(1, n) if n % d == 0]), max_size=3)):
@@ -127,7 +128,7 @@ def symmetric_states(draw):
     for half in draw(st.lists(st.tuples(*[values] * ((n + 1) // 2)), max_size=2)):
         seeds.append(half + half[: n // 2][::-1])
     closed = {act(w) for w in seeds for act in group.acts}
-    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), vis, group.perms
+    return KnowledgeState(tuple(draw(st.permutations(sorted(closed))))), vis, group
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,7 +139,7 @@ def test_orbit_split_matches_plain_split(case, data):
     state, vis, group = case
     n = vis.n_agents
     groups = split(state, range(n), vis, group)
-    assert groups == split(state, range(n), vis) == split(state, range(n), vis, group[:1])
+    assert groups == split(state, range(n), vis) == split(state, range(n), vis, SeatGroup(vis))
     for answers, worlds in groups.items():
         w = data.draw(st.sampled_from(worlds))
         assert answers == tuple(knows_own(i, w, state, vis) for i in range(n))
@@ -175,11 +176,13 @@ def small_constraints(draw):
     return ZeroOne(), draw(st.integers(1, 8))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_constraints())
-def test_generate_is_sorted_members_and_counted(case):
+@settings(max_examples=200, deadline=None)
+@given(small_constraints(), st.data())
+def test_generate_is_sorted_members_and_counted(case, data):
     # count_worlds is closed-form and generate streams: both must describe one
-    # strictly increasing list of members, or both refuse the agent count
+    # strictly increasing list of members, or both refuse the agent count.
+    # Membership is exchangeable: moving the values between seats keeps a
+    # world in or out, so every universe is closed under every seat permutation
     constraint, n = case
     try:
         worlds = list(constraint.generate(n))
@@ -190,6 +193,17 @@ def test_generate_is_sorted_members_and_counted(case):
     assert constraint.count_worlds(n) == len(worlds)
     assert all(a < b for a, b in zip(worlds, worlds[1:]))
     assert all(len(w) == n and constraint.contains(w) for w in worlds)
+    # a drawn permutation, and a swap and a rotation, which generate them all
+    seats = list(range(n))
+    moves = [tuple(data.draw(st.permutations(seats))), tuple(seats[1::-1] + seats[2:]), tuple(seats[1:] + seats[:1])]
+    # near misses: a few members with one seat's value changed in every way
+    near = data.draw(st.lists(st.sampled_from(worlds), min_size=1, max_size=3)) if worlds else []
+    values = range(max(map(max, worlds), default=0) + 2)
+    others = [w[:i] + (v,) + w[i + 1:] for w in near for i in range(n) for v in values]
+    for move in moves:
+        assert {tuple(w[i] for i in move) for w in worlds} == set(worlds), move
+        for w in worlds + others:
+            assert constraint.contains(w) == constraint.contains(tuple(w[i] for i in move)), (w, move)
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,8 +8,10 @@ from ckgames.scenarios import (
     Blind,
     Full,
     HatsAtLeast,
+    HatsExactly,
     MaxDiffExact,
     NearCircle,
+    NearLine,
     SumOrProduct,
     gen_universe,
     gen_visibility,
@@ -18,13 +20,13 @@ from ckgames.worlds import (
     ContractViolation,
     EmptyStateError,
     KnowledgeState,
+    SeatGroup,
     VisibilityGraph,
     answer_vector,
     answers_for_all,
     filter_simultaneous,
     filter_turn,
     knows_own,
-    observe,
     split,
 )
 
@@ -37,23 +39,23 @@ def intro_universe():
 
 def test_observe_blind_sees_nothing():
     vis = gen_visibility(Blind(frozenset({0})), 3)
-    assert observe(0, (R, B, B), vis) == {}
+    assert vis.observed(0) == ()
 
 
 def test_observe_full_sight_restriction():
     vis = gen_visibility(Full(), 3)
-    assert observe(0, (R, B, B), vis) == {1: B, 2: B}
+    assert vis.observed(0) == (1, 2)
 
 
 def test_observe_near_circle_neighbors():
     vis = gen_visibility(NearCircle(), 5)
-    assert observe(0, (0, 1, 2, 3, 4), vis) == {1: 1, 4: 4}
+    assert vis.observed(0) == (1, 4)
 
 
 def test_observe_bad_agent_index():
     vis = gen_visibility(Full(), 3)
     with pytest.raises(ContractViolation):
-        observe(5, (R, B, B), vis)
+        vis.observed(5)
 
 
 def test_knows_own_sees_two_blues():
@@ -192,14 +194,39 @@ def test_visibility_equality_ignores_key_functions():
 
 def test_orbit_split_refuses_a_partial_step():
     # answers read from moved worlds need every agent, in seat order, and a
-    # group of permutations of all the seats
+    # group of permutations of all the seats that map the sight graph onto itself
     vis = gen_visibility(NearCircle(), 6)
     state = gen_universe(HatsAtLeast(0, 1, 2), 6)
     half_turns = [(0, 1, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (4, 5, 0, 1, 2, 3)]
     mirrors = [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
-    assert split(state, range(6), vis, half_turns) == split(state, range(6), vis)
-    assert split(state, range(6), vis, mirrors) == split(state, range(6), vis)
-    for speakers, group in [((0,), half_turns), ((1, 0, 2, 3, 4, 5), mirrors), (range(5), mirrors),
-                            (range(6), [(0, 1, 2, 3), (1, 2, 3, 0)]), (range(6), [mirrors[0], (0,) * 6])]:
+    assert split(state, range(6), vis, SeatGroup(vis, half_turns)) == split(state, range(6), vis)
+    assert split(state, range(6), vis, SeatGroup(vis, mirrors)) == split(state, range(6), vis)
+    # a rotation of a line of seats moves an end seat, which has one neighbour, into the middle
+    line = gen_visibility(NearLine(), 4)
+    rotations = [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
+    states = {vis: state, line: gen_universe(HatsExactly(0, 1, 2), 4)}
+    for speakers, sight, perms in [((0,), vis, half_turns), ((1, 0, 2, 3, 4, 5), vis, mirrors),
+                                   (range(5), vis, mirrors), (range(6), vis, [(0, 1, 2, 3), (1, 2, 3, 0)]),
+                                   (range(6), vis, [mirrors[0], (0,) * 6]), (range(4), line, rotations)]:
         with pytest.raises(ContractViolation):
-            split(state, speakers, vis, group)
+            split(states[sight], speakers, sight, SeatGroup(sight, perms))
+
+
+def test_seat_group_refuses_a_step_that_breaks_the_sight_graph():
+    # on a line of four seats a rotation moves an end seat, which sees one
+    # neighbour, into the middle: answers moved by it would be wrong, so the
+    # group refuses it when built, before any split.  The reversal maps the
+    # line onto itself, and a split through it gives the plain split's answers
+    vis = gen_visibility(NearLine(), 4)
+    state = gen_universe(HatsExactly(0, 1, 2), 4)
+    with pytest.raises(ContractViolation):
+        SeatGroup(vis, [(1, 2, 3, 0)])
+    mirror = SeatGroup(vis, [(3, 2, 1, 0)])
+    assert mirror.perms == ((0, 1, 2, 3), (3, 2, 1, 0))
+    expected = {
+        (False, True, False, False): [(0, 1, 1, 1)],
+        (True, False, True, False): [(1, 0, 1, 1)],
+        (False, True, False, True): [(1, 1, 0, 1)],
+        (False, False, True, False): [(1, 1, 1, 0)],
+    }
+    assert split(state, range(4), vis, mirror) == split(state, range(4), vis) == expected
