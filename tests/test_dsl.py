@@ -83,6 +83,152 @@ def test_error_spans_after_comments_and_multiline_whitespace():
     assert str(err.value).startswith("3:10: ")
 
 
+_STATEMENTS_OK = {
+    "agents": "  agents a b c\n",
+    "values": "  values { red blue }\n",
+    "announce": "  announce atleast red 1\n",
+    "sight": "  sight full\n",
+    "protocol": "  protocol simultaneous rounds 3\n",
+    "actual": "  actual [ red blue blue ]\n",
+}
+
+
+def _scenario(**replaced):
+    """A valid scenario, one statement a line, with some statements replaced."""
+    body = "".join(replaced.get(k, v) for k, v in _STATEMENTS_OK.items())
+    return 'scenario "x" {\n' + body + "}\n"
+
+
+# one input per diagnostic the parser can give (tokenizer, syntax and
+# semantic checks), each with its error type, "line:col: message" and offset
+_DIAGNOSTICS = {
+    "bad_character": (_scenario(agents="  agents a ? c\n"),
+                      ParseError, "2:12: unexpected character '?'", 26),
+    "expect_word": ('scenarios "x" {}', ParseError, "1:1: expected scenario, found 'scenarios'", 0),
+    "expect_string": ("scenario x {}", ParseError, "1:10: expected STRING, found 'x'", 9),
+    "expect_brace": ('scenario "x" agents a b', ParseError, "1:14: expected {, found 'agents'", 13),
+    "statement_keyword": (
+        _scenario(agents="  agent a b c\n"), ParseError,
+        "2:3: expected one of {agents, values, announce, sight, actual, sweep, protocol, bound},"
+        " found 'agent'", 17),
+    "announce_keyword": (
+        _scenario(announce="  announce most red 1\n"), ParseError,
+        "4:12: expected one of {atleast, exactly, maxdiff, maxdiffatmost, consecutive, sop,"
+        " sumin, zeroone}, found 'most'", 63),
+    "sight_keyword": (
+        _scenario(sight="  sight partial\n"), ParseError,
+        "5:9: expected one of {full, blind, nearcircle, farcircle, nearline}, found 'partial'", 85),
+    "protocol_keyword": (
+        _scenario(protocol="  protocol random rounds 3\n"), ParseError,
+        "6:12: expected one of {simultaneous, circular}, found 'random'", 101),
+    "empty_name_list": (_scenario(agents="  agents\n"), ParseError,
+                        "3:3: expected at least one name", 26),
+    "duplicate": (_scenario(sight="  sight full\n  sight blind a\n"), ParseError,
+                  "6:3: duplicate sight statement", 92),
+    "empty_sumin": (
+        _scenario(values="", announce="  announce sumin { }\n", actual="  actual [ 1 2 3 ]\n"),
+        ParseError, "3:12: sumin needs at least one sum", 41),
+    "empty_actual": (_scenario(actual="  actual [ ]\n"), ParseError,
+                     "7:3: actual world cannot be empty", 125),
+    "expect_int": (_scenario(announce="  announce atleast red many\n"), ParseError,
+                   "4:24: expected INT, found 'many'", 75),
+    "expect_eof": (_scenario() + "extra\n", ParseError, "9:1: expected EOF, found 'extra'", 152),
+    "expect_order": (_scenario(protocol="  protocol circular rounds 3\n"), ParseError,
+                     "6:21: expected order, found 'rounds'", 110),
+    "expect_growth_int": (
+        _scenario(values="", announce="  announce consecutive\n  bound 9 growth\n",
+                  actual="  actual [ 1 2 3 ]\n"),
+        ParseError, "5:3: expected INT, found 'sight'", 72),
+    "no_agents": (_scenario(agents=""), SemanticError, "1:1: scenario declares no agents", 0),
+    "duplicate_agent": (_scenario(agents="  agents a b a\n"), SemanticError,
+                        "2:10: agent names must be unique", 24),
+    "duplicate_color": (_scenario(values="  values { red blue red }\n"), SemanticError,
+                        "3:12: color names must be unique", 41),
+    "no_announce": (_scenario(announce=""), SemanticError,
+                    "1:1: scenario has no announce statement", 0),
+    "hats_need_values": (_scenario(values="", actual="  actual [ 0 1 1 ]\n"), SemanticError,
+                         "3:12: hat announcements need a values statement", 41),
+    "unknown_color": (_scenario(announce="  announce exactly green 1\n"), SemanticError,
+                      "4:20: unknown color 'green'", 71),
+    "maxdiff_needs_bound": (
+        _scenario(values="", announce="  announce maxdiff 1\n", actual="  actual [ 1 2 2 ]\n"),
+        SemanticError, "3:12: maximum-difference scenarios need a bound statement", 41),
+    "atmost_needs_bound": (
+        _scenario(values="", announce="  announce maxdiffatmost 1\n", actual="  actual [ 1 2 2 ]\n"),
+        SemanticError, "3:12: maximum-difference scenarios need a bound statement", 41),
+    "cap_below_diff": (
+        _scenario(values="", announce="  announce maxdiffatmost 5\n  bound 3\n",
+                  actual="  actual [ 1 2 2 ]\n"),
+        SemanticError, "3:12: cap must be at least the required difference", 41),
+    "consecutive_needs_bound": (
+        _scenario(values="", announce="  announce consecutive\n", actual="  actual [ 1 2 3 ]\n"),
+        SemanticError, "3:12: consecutive scenarios need a bound statement", 41),
+    "no_sight": (_scenario(sight=""), SemanticError, "1:1: scenario has no sight statement", 0),
+    "blind_unknown_agent": (_scenario(sight="  sight blind a zed\n"), SemanticError,
+                            "5:17: unknown agent 'zed'", 93),
+    "sight_needs_more_agents": (
+        _scenario(agents="  agents a b\n", sight="  sight nearcircle\n",
+                  actual="  actual [ red blue ]\n"),
+        SemanticError, "5:9: a circle needs at least 3 agents", 83),
+    "no_protocol": (_scenario(protocol=""), SemanticError,
+                    "1:1: scenario has no protocol statement", 0),
+    "rounds_positive": (_scenario(protocol="  protocol simultaneous rounds 0\n"), SemanticError,
+                        "6:12: rounds must be positive", 101),
+    "order_unknown_agent": (
+        _scenario(protocol="  protocol circular order [ a b zed ] rounds 3\n"), SemanticError,
+        "6:33: unknown agent 'zed'", 122),
+    "order_every_agent": (
+        _scenario(protocol="  protocol circular order [ a b a ] rounds 3\n"), SemanticError,
+        "6:12: order must list every agent exactly once", 101),
+    "actual_and_sweep": (_scenario(actual="  sweep\n  actual [ red blue blue ]\n  sweep\n"),
+                         SemanticError, "1:1: scenario cannot have both actual and sweep", 0),
+    "no_actual_or_sweep": (_scenario(actual=""), SemanticError,
+                           "1:1: scenario needs an actual world or a sweep marker", 0),
+    "actual_length": (_scenario(actual="  actual [ red blue ]\n"), SemanticError,
+                      "7:12: actual world has 2 values for 3 agents", 134),
+    "unknown_value": (_scenario(actual="  actual [ red blue green ]\n"), SemanticError,
+                      "7:21: unknown value 'green'", 143),
+    "actual_violates": (_scenario(actual="  actual [ blue blue blue ]\n"), SemanticError,
+                        "7:12: actual world violates the announced constraint", 134),
+    # CRLF line ends: lines count "\n", columns count from the character after it
+    "crlf_bad_character": (
+        _scenario(actual="  actual [ red ? blue ]\n").replace("\n", "\r\n"), ParseError,
+        "7:16: unexpected character '?'", 144),
+    "crlf_semantic": (
+        _scenario(announce="  announce exactly green 1\n").replace("\n", "\r\n"), SemanticError,
+        "4:20: unknown color 'green'", 74),
+    "eof_after_comment": (
+        'scenario "x" {\n  agents a b c # the sages\n# no closing brace', ParseError,
+        "3:19: expected one of {agents, values, announce, sight, actual, sweep, protocol, bound},"
+        " found 'EOF'", 60),
+    # with several errors: a bad character anywhere comes first, then the
+    # first syntax error, then the semantic checks in the order listed above
+    "bad_character_first": (_scenario(agents="  agents\n", actual="  actual [ red ? ]\n"),
+                            ParseError, "7:16: unexpected character '?'", 132),
+    "syntax_before_semantic": (
+        _scenario(agents="  agents a a\n", sight="  sight full full\n"), ParseError,
+        "5:14: expected one of {agents, values, announce, sight, actual, sweep, protocol, bound},"
+        " found 'full'", 88),
+    "duplicate_before_its_body": (
+        _scenario(sight="  sight full\n  sight 7\n"), ParseError, "6:3: duplicate sight statement", 92),
+    "sight_before_protocol": (
+        _scenario(sight="  sight blind zed\n", protocol="  protocol simultaneous rounds 0\n",
+                  actual=""),
+        SemanticError, "5:15: unknown agent 'zed'", 91),
+}
+
+
+@pytest.mark.parametrize("case", list(_DIAGNOSTICS))
+def test_every_diagnostic_keeps_its_type_text_and_span(case):
+    text, error, expected, offset = _DIAGNOSTICS[case]
+    with pytest.raises((ParseError, SemanticError)) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == expected
+    assert str(err.value) == f"{err.value.span}: {err.value.message}"
+    assert err.value.span.offset == offset
+
+
 def test_parse_unknown_agent_in_order():
     with pytest.raises(SemanticError):
         parse('''
