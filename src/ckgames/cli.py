@@ -91,14 +91,14 @@ def _print_transcript(sc: scenarios.Scenario, t: engine.Transcript) -> None:
         print(header)
         sizes = {e.round: e.state_size for e in t.events}
         for rnd, row in enumerate(t.answers_by_round(), start=1):
-            cells = "  ".join(("YES" if a else "NO").ljust(width) for a in row)
+            cells = "  ".join(worlds.answer_str(a).ljust(width) for a in row)
             print(f"{rnd:<5}  {cells}  {sizes[rnd]}")
     else:
         print("turn  round  speaker  answer  worlds")
         for e in t.events:
             print(
                 f"{e.turn:<4}  {e.round:<5}  {t.agents[e.agent]:<7}  "
-                f"{'YES' if e.answer else 'NO':<6}  {e.state_size}"
+                f"{worlds.answer_str(e.answer):<6}  {e.state_size}"
             )
     parts = []
     for i, ev in enumerate(t.eventual):

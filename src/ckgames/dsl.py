@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from . import scenarios
@@ -62,8 +62,31 @@ from .scenarios import (
     SumOrProduct,
     ZeroOne,
 )
+from .worlds import answer_str
 
 JSON_FORMAT = 1
+
+# The language's keywords are written down once, here: parse, _assemble and pretty
+# read these tables.  Each statement's body is read by the _Parser method of its name.
+_STATEMENTS = ("agents", "values", "announce", "sight", "actual", "sweep", "protocol", "bound")
+
+# keyword -> (constraint class, the fields its text gives in order, the family its
+# missing-statement errors name).  A class with an n_colors field also takes it
+# from the values statement, and one with a cap field from the bound statement.
+_ANNOUNCEMENTS = {
+    "atleast": (HatsAtLeast, ("color", "count"), "hat"),
+    "exactly": (HatsExactly, ("color", "count"), "hat"),
+    "maxdiff": (MaxDiffExact, ("diff",), "maximum-difference"),
+    "maxdiffatmost": (MaxDiffAtMost, ("diff",), "maximum-difference"),
+    "consecutive": (ConsecutiveDistinct, (), "consecutive"),
+    "sop": (SumOrProduct, ("announced",), None),
+    "sumin": (SumInSet, ("sums",), None),
+    "zeroone": (ZeroOne, (), None),
+}
+
+# keyword -> sight model; "blind" is followed by the names of the blind agents
+_SIGHTS = {"full": Full, "blind": Blind, "nearcircle": NearCircle, "farcircle": FarCircle,
+           "nearline": NearLine}
 
 
 class SourceSpan(NamedTuple):
@@ -92,7 +115,13 @@ class SemanticError(Exception):
 class Token(NamedTuple):
     kind: str  # IDENT INT STRING PUNCT EOF
     text: str
-    span: SourceSpan
+    offset: int
+
+
+def _span(text: str, offset: int) -> SourceSpan:
+    """The line and column of text[offset]; lines end at "\\n", columns count from 1."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return SourceSpan(text.count("\n", 0, offset) + 1, offset - line_start + 1, offset)
 
 
 # whitespace and comments match no named group and are skipped; a character
@@ -113,29 +142,27 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, each with its offset only: the line and column
+    of a token are worked out by _span when an error about it is raised."""
     tokens = []
-    line, line_start, counted = 1, 0, 0  # the line and line start of text[counted]
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind is None:
             continue
-        pos = m.start()
-        newlines = text.count("\n", counted, pos)
-        if newlines:
-            line += newlines
-            line_start = text.rindex("\n", counted, pos) + 1
-        counted = pos
-        span = SourceSpan(line, pos - line_start + 1, pos)
         if kind == "BAD":
-            raise ParseError(span, f"unexpected character {text[pos]!r}")
-        tokens.append(Token(kind, m.group(kind), span))
+            raise ParseError(_span(text, m.start()), f"unexpected character {m.group()!r}")
+        tokens.append(Token(kind, m.group(kind), m.start()))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+
+    def error(self, tok: Token, message: str) -> ParseError:
+        return ParseError(_span(self.text, tok.offset), message)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -145,297 +172,222 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+    def expect(self, kind: str, *texts: str) -> Token:
+        """The next token, which must be of `kind` and, if texts are given, one of them."""
         tok = self.next()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise ParseError(tok.span, f"expected {want}, found {tok.text or tok.kind!r}")
+        if tok.kind != kind or (texts and tok.text not in texts):
+            choices = ", ".join(texts)
+            want = f"one of {{{choices}}}" if len(texts) > 1 else choices or kind
+            raise self.error(tok, f"expected {want}, found {tok.text or tok.kind!r}")
         return tok
 
-    def keyword(self, *options: str) -> Token:
-        tok = self.next()
-        if tok.kind != "IDENT" or tok.text not in options:
-            raise ParseError(
-                tok.span, f"expected one of {{{', '.join(options)}}}, found {tok.text or tok.kind!r}"
-            )
-        return tok
-
-    def int_value(self) -> int:
-        return int(self.expect("INT").text)
-
-    RESERVED = frozenset(
-        ("agents", "values", "announce", "sight", "actual", "sweep", "protocol", "bound")
-    )
-
-    def ident_list(self) -> list[Token]:
+    def names(self) -> list[Token]:
+        """One or more names, up to the next statement keyword."""
         out = []
-        while self.peek().kind == "IDENT" and self.peek().text not in self.RESERVED:
+        while self.peek().kind == "IDENT" and self.peek().text not in _STATEMENTS:
             out.append(self.next())
         if not out:
-            raise ParseError(self.peek().span, "expected at least one name")
+            raise self.error(self.peek(), "expected at least one name")
         return out
+
+    def bracketed(self, brackets: str, kinds: tuple, owner: Token, empty: str) -> list[Token]:
+        """Tokens of `kinds` between two brackets; none at all is the error `empty` at `owner`."""
+        self.expect("PUNCT", brackets[0])
+        out = []
+        while self.peek().kind in kinds:
+            out.append(self.next())
+        self.expect("PUNCT", brackets[1])
+        if not out:
+            raise self.error(owner, empty)
+        return out
+
+    # statement bodies, one per _STATEMENTS keyword; `stmt` is the keyword's token
+
+    def agents(self, stmt: Token) -> list[Token]:
+        return self.names()
+
+    def values(self, stmt: Token) -> list[Token]:
+        self.expect("PUNCT", "{")
+        names = self.names()
+        self.expect("PUNCT", "}")
+        return names
+
+    def announce(self, stmt: Token) -> tuple[Token, dict]:
+        kind = self.expect("IDENT", *_ANNOUNCEMENTS)
+        args = {}
+        for field in _ANNOUNCEMENTS[kind.text][1]:
+            if field == "color":
+                args[field] = self.expect("IDENT")
+            elif field == "sums":
+                sums = self.bracketed("{}", ("INT",), kind, "sumin needs at least one sum")
+                args[field] = tuple(int(t.text) for t in sums)
+            else:
+                args[field] = int(self.expect("INT").text)
+        return kind, args
+
+    def sight(self, stmt: Token) -> tuple[Token, Optional[list[Token]]]:
+        kind = self.expect("IDENT", *_SIGHTS)
+        return kind, self.names() if _SIGHTS[kind.text] is Blind else None
+
+    def actual(self, stmt: Token) -> list[Token]:
+        return self.bracketed("[]", ("IDENT", "INT"), stmt, "actual world cannot be empty")
+
+    def sweep(self, stmt: Token) -> None:
+        return None
+
+    def protocol(self, stmt: Token) -> tuple[Token, Optional[list[Token]], int]:
+        kind = self.expect("IDENT", "simultaneous", "circular")
+        order = None  # only a circular protocol has one
+        if kind.text == "circular":
+            self.expect("IDENT", "order")
+            self.expect("PUNCT", "[")
+            order = self.names()
+            self.expect("PUNCT", "]")
+        self.expect("IDENT", "rounds")
+        return kind, order, int(self.expect("INT").text)
+
+    def bound(self, stmt: Token) -> BoundConfig:
+        cap = int(self.expect("INT").text)
+        if self.peek()[:2] == ("IDENT", "growth"):
+            self.next()
+            return BoundConfig(cap, int(self.expect("INT").text))
+        return BoundConfig(cap)
 
 
 def parse(text: str) -> Scenario:
-    """Parse and semantically validate one scenario."""
+    """Parse and semantically validate one scenario.
+
+    Only a raised ParseError or SemanticError works out a source line and
+    column, from the offset its token carries."""
     p = _Parser(text)
     p.expect("IDENT", "scenario")
     name = p.expect("STRING").text
     p.expect("PUNCT", "{")
-
-    agents: Optional[list[Token]] = None
-    alphabet: Optional[list[Token]] = None
-    announce = None  # (kind, payload, span)
-    sight = None
-    actual_tokens = None
-    sweep_marker = False
-    protocol = None
-    bound = None
-
-    def only_once(value, tok):
-        if value is not None:
-            raise ParseError(tok.span, f"duplicate {tok.text} statement")
-
-    while True:
-        tok = p.peek()
-        if tok.kind == "PUNCT" and tok.text == "}":
-            p.next()
-            break
-        stmt = p.keyword(
-            "agents", "values", "announce", "sight", "actual", "sweep", "protocol", "bound"
-        )
-        if stmt.text == "agents":
-            only_once(agents, stmt)
-            agents = p.ident_list()
-        elif stmt.text == "values":
-            only_once(alphabet, stmt)
-            p.expect("PUNCT", "{")
-            alphabet = p.ident_list()
-            p.expect("PUNCT", "}")
-        elif stmt.text == "announce":
-            only_once(announce, stmt)
-            kind = p.keyword(
-                "atleast", "exactly", "maxdiff", "maxdiffatmost", "consecutive",
-                "sop", "sumin", "zeroone",
-            )
-            if kind.text in ("atleast", "exactly"):
-                color = p.expect("IDENT")
-                count = p.int_value()
-                announce = (kind.text, (color, count), kind.span)
-            elif kind.text in ("maxdiff", "maxdiffatmost"):
-                announce = (kind.text, p.int_value(), kind.span)
-            elif kind.text in ("consecutive", "zeroone"):
-                announce = (kind.text, None, kind.span)
-            elif kind.text == "sop":
-                announce = ("sop", p.int_value(), kind.span)
-            else:
-                p.expect("PUNCT", "{")
-                sums = []
-                while p.peek().kind == "INT":
-                    sums.append(p.int_value())
-                p.expect("PUNCT", "}")
-                if not sums:
-                    raise ParseError(kind.span, "sumin needs at least one sum")
-                announce = ("sumin", tuple(sums), kind.span)
-        elif stmt.text == "sight":
-            only_once(sight, stmt)
-            kind = p.keyword("full", "blind", "nearcircle", "farcircle", "nearline")
-            if kind.text == "blind":
-                sight = ("blind", p.ident_list(), kind.span)
-            else:
-                sight = (kind.text, None, kind.span)
-        elif stmt.text == "actual":
-            only_once(actual_tokens, stmt)
-            p.expect("PUNCT", "[")
-            actual_tokens = []
-            while p.peek().kind in ("IDENT", "INT"):
-                actual_tokens.append(p.next())
-            p.expect("PUNCT", "]")
-            if not actual_tokens:
-                raise ParseError(stmt.span, "actual world cannot be empty")
-        elif stmt.text == "sweep":
-            sweep_marker = True
-        elif stmt.text == "protocol":
-            only_once(protocol, stmt)
-            kind = p.keyword("simultaneous", "circular")
-            order = None
-            if kind.text == "circular":
-                p.expect("IDENT", "order")
-                p.expect("PUNCT", "[")
-                order = p.ident_list()
-                p.expect("PUNCT", "]")
-            p.expect("IDENT", "rounds")
-            rounds = p.int_value()
-            protocol = (kind.text, order, rounds, kind.span)
-        else:  # bound
-            only_once(bound, stmt)
-            cap = p.int_value()
-            growth = 10
-            if p.peek().kind == "IDENT" and p.peek().text == "growth":
-                p.next()
-                growth = p.int_value()
-            bound = (cap, growth, stmt.span)
+    stmts = {}  # keyword -> what its _Parser method read; sweep alone may repeat
+    while p.peek()[:2] != ("PUNCT", "}"):
+        stmt = p.expect("IDENT", *_STATEMENTS)
+        if stmt.text in stmts and stmt.text != "sweep":
+            raise p.error(stmt, f"duplicate {stmt.text} statement")
+        stmts[stmt.text] = getattr(p, stmt.text)(stmt)
+    p.next()
     p.expect("EOF")
-
-    return _assemble(
-        name, agents, alphabet, announce, sight, actual_tokens, sweep_marker, protocol, bound,
-        SourceSpan(1, 1, 0),
-    )
+    return _assemble(text, name, stmts)
 
 
-def _assemble(name, agents, alphabet, announce, sight, actual_tokens, sweep_marker,
-              protocol, bound, top_span) -> Scenario:
-    if agents is None:
-        raise SemanticError(top_span, "scenario declares no agents")
-    names = tuple(t.text for t in agents)
-    if len(set(names)) != len(names):
-        raise SemanticError(agents[0].span, "agent names must be unique")
-    index = {t.text: i for i, t in enumerate(agents)}
+def _assemble(text: str, name: str, stmts: dict) -> Scenario:
+    """Check the parsed statements against each other and build the scenario."""
+    top = SourceSpan(1, 1, 0)
+
+    def at(tok: Token) -> SourceSpan:
+        return _span(text, tok.offset)
+
+    def required(keyword: str, missing: Optional[str] = None):
+        if keyword not in stmts:
+            raise SemanticError(top, missing or f"scenario has no {keyword} statement")
+        return stmts[keyword]
+
+    def unique(toks: list[Token], what: str) -> tuple[str, ...]:
+        names = tuple(t.text for t in toks)
+        if len(set(names)) != len(names):
+            raise SemanticError(at(toks[0]), f"{what} names must be unique")
+        return names
+
+    def seats(toks: list[Token]) -> list[int]:
+        for t in toks:
+            if t.text not in index:
+                raise SemanticError(at(t), f"unknown agent {t.text!r}")
+        return [index[t.text] for t in toks]
+
+    names = unique(required("agents", "scenario declares no agents"), "agent")
+    index = {a: i for i, a in enumerate(names)}
     n = len(names)
+    colors = unique(stmts["values"], "color") if "values" in stmts else None
 
-    colors = None
-    if alphabet is not None:
-        colors = tuple(t.text for t in alphabet)
-        if len(set(colors)) != len(colors):
-            raise SemanticError(alphabet[0].span, "color names must be unique")
-
-    if announce is None:
-        raise SemanticError(top_span, "scenario has no announce statement")
-    kind, payload, a_span = announce
-    bound_cfg = BoundConfig(bound[0], bound[1]) if bound else None
-    if kind in ("atleast", "exactly"):
+    kind, args = required("announce")
+    cls, _, family = _ANNOUNCEMENTS[kind.text]
+    params = {f.name for f in fields(cls)}
+    if "n_colors" in params:
         if colors is None:
-            raise SemanticError(a_span, "hat announcements need a values statement")
-        color_tok, count = payload
-        if color_tok.text not in colors:
-            raise SemanticError(color_tok.span, f"unknown color {color_tok.text!r}")
-        cls = HatsAtLeast if kind == "atleast" else HatsExactly
-        constraint = cls(colors.index(color_tok.text), count, len(colors))
-    elif kind in ("maxdiff", "maxdiffatmost"):
-        if bound_cfg is None:
-            raise SemanticError(a_span, "maximum-difference scenarios need a bound statement")
-        cls = MaxDiffExact if kind == "maxdiff" else MaxDiffAtMost
-        try:
-            constraint = cls(payload, bound_cfg.cap)
-        except GenerationError as e:
-            raise SemanticError(a_span, str(e))
-    elif kind == "consecutive":
-        if bound_cfg is None:
-            raise SemanticError(a_span, "consecutive scenarios need a bound statement")
-        constraint = ConsecutiveDistinct(bound_cfg.cap)
-    elif kind == "sop":
-        constraint = SumOrProduct(payload)
-    elif kind == "sumin":
-        constraint = SumInSet(payload)
-    else:
-        constraint = ZeroOne()
-        if colors is None:
-            colors = ("zero", "one")
-
-    if sight is None:
-        raise SemanticError(top_span, "scenario has no sight statement")
-    s_kind, s_payload, s_span = sight
-    if s_kind == "blind":
-        blind = []
-        for t in s_payload:
-            if t.text not in index:
-                raise SemanticError(t.span, f"unknown agent {t.text!r}")
-            blind.append(index[t.text])
-        sight_model = Blind(frozenset(blind))
-    else:
-        sight_model = {
-            "full": Full(), "nearcircle": NearCircle(),
-            "farcircle": FarCircle(), "nearline": NearLine(),
-        }[s_kind]
+            raise SemanticError(at(kind), f"{family} announcements need a values statement")
+        color = args["color"]
+        if color.text not in colors:
+            raise SemanticError(at(color), f"unknown color {color.text!r}")
+        args.update(color=colors.index(color.text), n_colors=len(colors))
+    bound = stmts.get("bound")
+    if "cap" in params:
+        if bound is None:
+            raise SemanticError(at(kind), f"{family} scenarios need a bound statement")
+        args["cap"] = bound.cap
     try:
-        scenarios.gen_visibility(sight_model, n)
+        constraint = cls(**args)
     except GenerationError as e:
-        raise SemanticError(s_span, str(e))
+        raise SemanticError(at(kind), str(e))
+    if cls is ZeroOne and colors is None:
+        colors = ("zero", "one")
 
-    if protocol is None:
-        raise SemanticError(top_span, "scenario has no protocol statement")
-    p_kind, order_toks, rounds, p_span = protocol
+    kind, blind = required("sight")
+    sight = _SIGHTS[kind.text]() if blind is None else Blind(frozenset(seats(blind)))
+    try:
+        scenarios.gen_visibility(sight, n)
+    except GenerationError as e:
+        raise SemanticError(at(kind), str(e))
+
+    kind, order, rounds = required("protocol")
     if rounds < 1:
-        raise SemanticError(p_span, "rounds must be positive")
-    if p_kind == "simultaneous":
-        proto = Simultaneous(rounds)
+        raise SemanticError(at(kind), "rounds must be positive")
+    if order is None:
+        protocol = Simultaneous(rounds)
     else:
-        if order_toks is None:
-            raise SemanticError(p_span, "circular protocol needs an order clause")
-        order = []
-        for t in order_toks:
-            if t.text not in index:
-                raise SemanticError(t.span, f"unknown agent {t.text!r}")
-            order.append(index[t.text])
+        order = seats(order)
         if sorted(order) != list(range(n)):
-            raise SemanticError(p_span, "order must list every agent exactly once")
-        proto = Circular(tuple(order), rounds)
+            raise SemanticError(at(kind), "order must list every agent exactly once")
+        protocol = Circular(tuple(order), rounds)
 
     actual = None
-    if sweep_marker and actual_tokens is not None:
-        raise SemanticError(top_span, "scenario cannot have both actual and sweep")
-    if not sweep_marker:
-        if actual_tokens is None:
-            raise SemanticError(top_span, "scenario needs an actual world or a sweep marker")
-        if len(actual_tokens) != n:
-            raise SemanticError(
-                actual_tokens[0].span,
-                f"actual world has {len(actual_tokens)} values for {n} agents",
-            )
-        values = []
-        for t in actual_tokens:
-            if t.kind == "INT":
-                values.append(int(t.text))
-            else:
-                if colors is None or t.text not in colors:
-                    raise SemanticError(t.span, f"unknown value {t.text!r}")
-                values.append(colors.index(t.text))
-        actual = tuple(values)
+    world = stmts.get("actual")
+    if "sweep" in stmts and world is not None:
+        raise SemanticError(top, "scenario cannot have both actual and sweep")
+    if "sweep" not in stmts:
+        if world is None:
+            raise SemanticError(top, "scenario needs an actual world or a sweep marker")
+        if len(world) != n:
+            raise SemanticError(at(world[0]), f"actual world has {len(world)} values for {n} agents")
+        for t in world:
+            if t.kind != "INT" and (colors is None or t.text not in colors):
+                raise SemanticError(at(t), f"unknown value {t.text!r}")
+        actual = tuple(int(t.text) if t.kind == "INT" else colors.index(t.text) for t in world)
         if not constraint.contains(actual):
-            raise SemanticError(
-                actual_tokens[0].span, "actual world violates the announced constraint"
-            )
+            raise SemanticError(at(world[0]), "actual world violates the announced constraint")
 
-    sc = Scenario(
-        name=name, agents=names, constraint=constraint, sight=sight_model,
-        protocol=proto, actual=actual, alphabet=colors, bound=bound_cfg,
+    # every check of Scenario.validate was made above, with the span it concerns
+    return Scenario(
+        name=name, agents=names, constraint=constraint, sight=sight,
+        protocol=protocol, actual=actual, alphabet=colors, bound=bound,
     )
-    try:
-        sc.validate()
-    except GenerationError as e:
-        raise SemanticError(top_span, str(e))
-    return sc
 
 
 def pretty(sc: Scenario) -> str:
     """Canonical text form; parse(pretty(sc)) reproduces sc."""
-    lines = [f'scenario "{sc.name}" {{']
-    lines.append("  agents " + " ".join(sc.agents))
-    c = sc.constraint
+    lines = [f'scenario "{sc.name}" {{', "  agents " + " ".join(sc.agents)]
     if sc.alphabet is not None:
         lines.append("  values { " + " ".join(sc.alphabet) + " }")
-    if isinstance(c, HatsAtLeast):
-        lines.append(f"  announce atleast {sc.alphabet[c.color]} {c.count}")
-    elif isinstance(c, HatsExactly):
-        lines.append(f"  announce exactly {sc.alphabet[c.color]} {c.count}")
-    elif isinstance(c, MaxDiffExact):
-        lines.append(f"  announce maxdiff {c.diff}")
-    elif isinstance(c, MaxDiffAtMost):
-        lines.append(f"  announce maxdiffatmost {c.diff}")
-    elif isinstance(c, ConsecutiveDistinct):
-        lines.append("  announce consecutive")
-    elif isinstance(c, SumOrProduct):
-        lines.append(f"  announce sop {c.announced}")
-    elif isinstance(c, SumInSet):
-        lines.append("  announce sumin { " + " ".join(str(s) for s in c.sums) + " }")
-    else:
-        lines.append("  announce zeroone")
+    c = sc.constraint
+    kind = next(k for k, (cls, _, _) in _ANNOUNCEMENTS.items() if type(c) is cls)
+    words = [kind]
+    for field in _ANNOUNCEMENTS[kind][1]:
+        value = getattr(c, field)
+        if field == "color":
+            words.append(sc.alphabet[value])
+        elif field == "sums":
+            words.append("{ " + " ".join(map(str, value)) + " }")
+        else:
+            words.append(str(value))
+    lines.append("  announce " + " ".join(words))
     s = sc.sight
+    words = [next(k for k, cls in _SIGHTS.items() if type(s) is cls)]
     if isinstance(s, Blind):
-        lines.append("  sight blind " + " ".join(sc.agents[i] for i in sorted(s.agents)))
-    else:
-        word = {Full: "full", NearCircle: "nearcircle", FarCircle: "farcircle", NearLine: "nearline"}
-        lines.append("  sight " + word[type(s)])
+        words.append(" ".join(sc.agents[i] for i in sorted(s.agents)))
+    lines.append("  sight " + " ".join(words))
     p = sc.protocol
     if isinstance(p, Simultaneous):
         lines.append(f"  protocol simultaneous rounds {p.max_rounds}")
@@ -485,7 +437,7 @@ def transcript_to_dict(t: Transcript, alphabet: Optional[tuple[str, ...]] = None
             "round": e.round,
             "turn": e.turn,
             "agent": t.agents[e.agent],
-            "answer": "YES" if e.answer else "NO",
+            "answer": answer_str(e.answer),
             "state_size": e.state_size,
         }
         for e in t.events
@@ -673,4 +625,4 @@ def _describe(e: Eventual) -> str:
 
 
 def _row(row) -> str:
-    return " ".join("YES" if a else "NO" for a in row)
+    return " ".join(map(answer_str, row))

@@ -434,8 +434,14 @@ class Scenario:
                 raise GenerationError("actual world length does not match agent count")
             if not self.constraint.contains(self.actual):
                 raise GenerationError("actual world violates the announced constraint")
-        if needs_cap(self.constraint) and self.bound is None:
-            raise GenerationError("this scenario family requires an explicit bound")
+        if needs_cap(self.constraint):
+            if self.bound is None:
+                raise GenerationError("this scenario family requires an explicit bound")
+            # the bound's cap is what `ck stability` starts from, so it must be the one run plays
+            if self.bound.cap != self.constraint.cap:
+                raise GenerationError(
+                    f"bound cap {self.bound.cap} is not the constraint's cap {self.constraint.cap}"
+                )
 
     def value_label(self, v: int) -> str:
         if self.alphabet is not None and 0 <= v < len(self.alphabet):

@@ -1,6 +1,7 @@
 """Parsing, canonical printing, JSON serialization, and expectation matching."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -373,3 +374,21 @@ scenario "fifty" {
     assert dsl.match_expectation(exp, t) == []
     bad = parse_expected("consistent: bob={25}")
     assert len(dsl.match_expectation(bad, t)) == 1
+
+
+def _production(name):
+    """The right-hand side of one production of the grammar in dsl's docstring."""
+    m = re.search(rf"^ *{name} +:=(.*?)(?=^ *\w+ +:=|\n\n)", dsl.__doc__, re.M | re.S)
+    return m.group(1)
+
+
+def test_grammar_and_readme_name_every_keyword():
+    # the keyword tables are the language; the docstring's grammar lists the
+    # same keywords in the same order, and the README names every one a user writes
+    assert re.findall(r"\w+", _production("stmt")) == list(dsl._STATEMENTS)
+    assert re.findall(r'"(\w+)"', _production("announce")) == ["announce", *dsl._ANNOUNCEMENTS]
+    assert re.findall(r'"(\w+)"', _production("sight")) == ["sight", *dsl._SIGHTS]
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    for keyword in [*dsl._ANNOUNCEMENTS, *dsl._SIGHTS]:
+        assert re.search(rf"`{keyword}\b", section), keyword

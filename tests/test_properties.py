@@ -152,38 +152,42 @@ def test_sum_or_product_count_matches_enumeration(announced, n):
     assert constraint.count_worlds(n) == len(list(constraint.generate(n)))
 
 
+CONSTRAINT_CLASSES = (HatsAtLeast, HatsExactly, MaxDiffExact, MaxDiffAtMost, ConsecutiveDistinct,
+                      SumOrProduct, SumInSet, ZeroOne)
+
+
 @st.composite
-def small_constraints(draw):
-    """(a constraint of any class, an agent count) small enough to enumerate."""
-    kind = draw(st.sampled_from(["at_least", "exactly", "max_diff", "at_most",
-                                 "consecutive", "sum_or_product", "sum_in_set", "zero_one"]))
-    if kind in ("at_least", "exactly"):
+def small_constraints(draw, cls):
+    """(a constraint of class `cls`, an agent count) small enough to enumerate."""
+    if cls in (HatsAtLeast, HatsExactly):
         colors = draw(st.integers(1, 3))
         n = draw(st.integers(1, 7 if colors < 3 else 6))
-        hats = HatsAtLeast if kind == "at_least" else HatsExactly
-        return hats(draw(st.integers(0, colors - 1)), draw(st.integers(0, n + 1)), colors), n
-    if kind in ("max_diff", "at_most"):
+        return cls(draw(st.integers(0, colors - 1)), draw(st.integers(0, n + 1)), colors), n
+    if cls in (MaxDiffExact, MaxDiffAtMost):
         diff = draw(st.integers(0, 3))
         cap = draw(st.integers(diff, diff + 4))
-        return (MaxDiffExact if kind == "max_diff" else MaxDiffAtMost)(diff, cap), draw(st.integers(1, 4))
-    if kind == "consecutive":
+        return cls(diff, cap), draw(st.integers(1, 4))
+    if cls is ConsecutiveDistinct:
         n = draw(st.integers(1, 5))
         return ConsecutiveDistinct(draw(st.integers(n - 3, n + 2))), n
-    if kind == "sum_or_product":
+    if cls is SumOrProduct:
         return SumOrProduct(draw(st.integers(1, 30))), draw(st.integers(2, 4))
-    if kind == "sum_in_set":
+    if cls is SumInSet:
         return SumInSet(tuple(draw(st.sets(st.integers(1, 12), min_size=1, max_size=3)))), draw(st.integers(1, 4))
     return ZeroOne(), draw(st.integers(1, 8))
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_constraints(), st.data())
-def test_generate_is_sorted_members_and_counted(case, data):
+# each class gets its own run of examples, so a fault in one class cannot
+# hide behind draws that happened to pick the others
+@pytest.mark.parametrize("cls", CONSTRAINT_CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_generate_is_sorted_members_and_counted(cls, data):
     # count_worlds is closed-form and generate streams: both must describe one
     # strictly increasing list of members, or both refuse the agent count.
     # Membership is exchangeable: moving the values between seats keeps a
     # world in or out, so every universe is closed under every seat permutation
-    constraint, n = case
+    constraint, n = data.draw(small_constraints(cls))
     try:
         worlds = list(constraint.generate(n))
     except GenerationError:
@@ -206,11 +210,12 @@ def test_generate_is_sorted_members_and_counted(case, data):
             assert constraint.contains(w) == constraint.contains(tuple(w[i] for i in move)), (w, move)
 
 
-@settings(max_examples=100, deadline=None)
-@given(small_constraints())
-def test_profile_universe_is_the_sorted_generated_worlds(case):
+@pytest.mark.parametrize("cls", CONSTRAINT_CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_profile_universe_is_the_sorted_generated_worlds(cls, data):
     # exact-difference families are enumerated by window, d = 0 included
-    constraint, n = case
+    constraint, n = data.draw(small_constraints(cls))
     try:
         expected = {tuple(sorted(w)) for w in constraint.generate(n)}
     except GenerationError:

@@ -170,6 +170,12 @@ def test_scenario_validation():
     uncapped = Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 3))
     with pytest.raises(GenerationError):
         uncapped.validate()
+    # a bound whose cap is not the constraint's: run would play cap 3 while
+    # `ck stability` compared caps 40 and 50
+    other_cap = Scenario("m", ("a", "b"), MaxDiffExact(1, 3), Full(), Simultaneous(8), (3, 2),
+                         bound=BoundConfig(40))
+    with pytest.raises(GenerationError, match="bound cap 40 is not the constraint's cap 3"):
+        other_cap.validate()
 
 
 def test_circular_order_must_be_permutation():
