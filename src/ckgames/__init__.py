@@ -22,7 +22,6 @@ from .worlds import (
 )
 from .scenarios import (
     Blind,
-    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,

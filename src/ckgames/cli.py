@@ -43,7 +43,8 @@ def main(argv=None) -> int:
 
     p_stab = sub.add_parser("stability", help="compare a capped run against a larger cap")
     p_stab.add_argument("path")
-    p_stab.add_argument("--growth", type=int, default=None, help="cap increment")
+    p_stab.add_argument("--growth", type=int, default=None,
+                        help="cap increment (default: the bound statement's growth, else 10)")
 
     args = parser.parse_args(argv)
     try:
@@ -186,12 +187,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_stability(args) -> int:
     sc = _load(args.path)
-    if sc.bound is None or not scenarios.needs_cap(sc.constraint):
+    if not scenarios.needs_cap(sc.constraint):
         print("error: scenario takes no cap; stability does not apply", file=sys.stderr)
         return USAGE
-    growth = args.growth if args.growth is not None else sc.bound.growth
-    cap = sc.bound.cap
-    ok = engine.stability_check(sc, cap, cap + growth)
+    growth = args.growth if args.growth is not None else sc.growth
+    cap = sc.constraint.cap
+    ok = engine.stability_check(sc, growth)
     print(f"cap {cap} vs {cap + growth}: {'stable' if ok else 'UNSTABLE'}")
     return OK if ok else FAIL
 

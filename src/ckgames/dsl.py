@@ -19,7 +19,9 @@ Comments run from "#" to end of line; whitespace is insignificant.  Agent
 names map to seat indices in declaration order; color names map to value
 codes in declaration order.  "maxdiffatmost" is the at-most reading of the
 maximum-difference announcement, kept alongside the exact reading so the two
-can be compared.
+can be compared.  "bound" gives the value cap of a maxdiff, maxdiffatmost or
+consecutive announcement, which needs one, and the cap increment "growth" of
+`ck stability` (10 if left out); the other announcements take no bound.
 
 Expectation files (.expect) are line based:
 
@@ -28,9 +30,9 @@ Expectation files (.expect) are line based:
     turns: [NO NO YES]
     consistent: bob={2 25}
 
-"rounds:"/"turns:" assert a prefix of the transcript; "roundK+"/"turnK+"
-mean "learns no earlier than K"; "consistent:" asserts the value set still
-possible for an agent once the run stabilizes.
+"rounds:"/"turns:" assert a prefix of the transcript and may each appear
+once; "roundK+"/"turnK+" mean "learns no earlier than K"; "consistent:"
+asserts the value set still possible for an agent once the run stabilizes.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from . import scenarios
 from .engine import Eventual, Transcript, transcript_digest
 from .scenarios import (
     Blind,
-    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,
@@ -246,12 +247,13 @@ class _Parser:
         self.expect("IDENT", "rounds")
         return kind, order, int(self.expect("INT").text)
 
-    def bound(self, stmt: Token) -> BoundConfig:
+    def bound(self, stmt: Token) -> tuple[Token, int, int]:
         cap = int(self.expect("INT").text)
+        growth = Scenario.growth  # the field's default
         if self.peek()[:2] == ("IDENT", "growth"):
             self.next()
-            return BoundConfig(cap, int(self.expect("INT").text))
-        return BoundConfig(cap)
+            growth = int(self.expect("INT").text)
+        return stmt, cap, growth
 
 
 def parse(text: str) -> Scenario:
@@ -305,19 +307,20 @@ def _assemble(text: str, name: str, stmts: dict) -> Scenario:
 
     kind, args = required("announce")
     cls, _, family = _ANNOUNCEMENTS[kind.text]
-    params = {f.name for f in fields(cls)}
-    if "n_colors" in params:
+    if any(f.name == "n_colors" for f in fields(cls)):
         if colors is None:
             raise SemanticError(at(kind), f"{family} announcements need a values statement")
         color = args["color"]
         if color.text not in colors:
             raise SemanticError(at(color), f"unknown color {color.text!r}")
         args.update(color=colors.index(color.text), n_colors=len(colors))
-    bound = stmts.get("bound")
-    if "cap" in params:
+    bound, cap, growth = stmts.get("bound", (None, None, Scenario.growth))
+    if scenarios.needs_cap(cls):
         if bound is None:
             raise SemanticError(at(kind), f"{family} scenarios need a bound statement")
-        args["cap"] = bound.cap
+        args["cap"] = cap
+    elif bound is not None:
+        raise SemanticError(at(bound), f"{kind.text} scenarios take no bound statement")
     try:
         constraint = cls(**args)
     except GenerationError as e:
@@ -362,7 +365,7 @@ def _assemble(text: str, name: str, stmts: dict) -> Scenario:
     # every check of Scenario.validate was made above, with the span it concerns
     return Scenario(
         name=name, agents=names, constraint=constraint, sight=sight,
-        protocol=protocol, actual=actual, alphabet=colors, bound=bound,
+        protocol=protocol, actual=actual, alphabet=colors, growth=growth,
     )
 
 
@@ -398,8 +401,8 @@ def pretty(sc: Scenario) -> str:
         lines.append("  sweep")
     else:
         lines.append("  actual [ " + " ".join(sc.value_label(v) for v in sc.actual) + " ]")
-    if sc.bound is not None:
-        lines.append(f"  bound {sc.bound.cap} growth {sc.bound.growth}")
+    if scenarios.needs_cap(c):
+        lines.append(f"  bound {c.cap} growth {sc.growth}")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -485,65 +488,83 @@ class Expectation:
 _EVENTUAL_RE = re.compile(r"^(?:round|turn)(\d+)(\+?)$")
 
 
+def _stripped(s: str, offset: int) -> tuple[str, int]:
+    """s, which starts at `offset`, stripped, and the offset of its first non-blank (or its end)."""
+    rest = s.lstrip()
+    return rest.rstrip(), offset + len(s) - len(rest)
+
+
+def _words(s: str, offset: int) -> list[tuple[str, int]]:
+    """The blank-separated words of s, which starts at `offset`, each with its offset."""
+    return [(m.group(), offset + m.start()) for m in re.finditer(r"\S+", s)]
+
+
 def parse_expected(text: str) -> Expectation:
-    eventual = []
-    rounds = None
-    turns = None
-    consistent = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    """Read an expectation file.  A ParseError points at the word at fault, or
+    at the first word of a line wrong as a whole; lines end at "\\n", as in _span."""
+    eventual, consistent = [], []
+    patterns = {}  # "rounds" / "turns" -> the answers it asserts; neither may repeat
+
+    def error(offset: int, message: str) -> ParseError:
+        return ParseError(_span(text, offset), message)
+
+    def answers(row: str, offset: int) -> tuple[bool, ...]:
+        words = _words(row, offset)
+        for word, at in words:
+            if word not in ("YES", "NO"):
+                raise error(at, f"answers must be YES or NO, found {word!r}")
+        if not words:  # a blank row: point at the ";" or "]" that ends it
+            raise error(offset + len(row), "empty answer row")
+        return tuple(word == "YES" for word, _ in words)
+
+    line_start = 0
+    for raw in text.split("\n"):
+        line, at = _stripped(raw.split("#", 1)[0], line_start)
+        line_start += len(raw) + 1
         if not line:
             continue
-        span = SourceSpan(lineno, 1, 0)
         if ":" not in line:
-            raise ParseError(span, "expected 'key: value' line")
+            raise error(at, "expected 'key: value' line")
         key, rest = line.split(":", 1)
+        rest, rest_at = _stripped(rest, at + len(key) + 1)
         key = key.strip()
-        rest = rest.strip()
         if key == "eventual":
-            for part in rest.split():
+            for part, part_at in _words(rest, rest_at):
                 if "=" not in part:
-                    raise ParseError(span, f"expected name=outcome, found {part!r}")
+                    raise error(part_at, f"expected name=outcome, found {part!r}")
                 name, outcome = part.split("=", 1)
                 if outcome in ("never", "unknown"):
                     eventual.append((name, outcome, None, False))
                     continue
                 m = _EVENTUAL_RE.match(outcome)
                 if not m:
-                    raise ParseError(span, f"bad outcome {outcome!r}")
+                    raise error(part_at + len(name) + 1, f"bad outcome {outcome!r}")
                 unit = "round" if outcome.startswith("round") else "turn"
                 eventual.append((name, unit, int(m.group(1)), m.group(2) == "+"))
         elif key in ("rounds", "turns"):
+            if key in patterns:
+                raise error(at, f"duplicate {key} line")
             if not (rest.startswith("[") and rest.endswith("]")):
-                raise ParseError(span, f"{key} pattern must be bracketed")
-            body = rest[1:-1].strip()
-            def parse_row(row_text):
-                toks = row_text.split()
-                vals = []
-                for tk in toks:
-                    if tk not in ("YES", "NO"):
-                        raise ParseError(span, f"answers must be YES or NO, found {tk!r}")
-                    vals.append(tk == "YES")
-                if not vals:
-                    raise ParseError(span, "empty answer row")
-                return tuple(vals)
-            if key == "rounds":
-                rounds = tuple(parse_row(r) for r in body.split(";"))
-            else:
-                turns = parse_row(body)
+                raise error(rest_at, f"{key} pattern must be bracketed")
+            rows, row_at = [], rest_at + 1
+            for row in rest[1:-1].split(";") if key == "rounds" else [rest[1:-1]]:
+                rows.append(answers(row, row_at))
+                row_at += len(row) + 1
+            patterns[key] = tuple(rows) if key == "rounds" else rows[0]
         elif key == "consistent":
             if "=" not in rest:
-                raise ParseError(span, "expected name={values}")
+                raise error(rest_at, "expected name={values}")
             name, vals = rest.split("=", 1)
-            vals = vals.strip()
+            vals, vals_at = _stripped(vals, rest_at + len(name) + 1)
             if not (vals.startswith("{") and vals.endswith("}")):
-                raise ParseError(span, "value set must be braced")
+                raise error(vals_at, "value set must be braced")
             toks = tuple(vals[1:-1].split())
             if not toks:
-                raise ParseError(span, "empty value set")
+                raise error(vals_at, "empty value set")
             consistent.append((name.strip(), toks))
         else:
-            raise ParseError(span, f"unknown expectation key {key!r}")
+            raise error(at, f"unknown expectation key {key!r}")
+    rounds, turns = patterns.get("rounds"), patterns.get("turns")
     return Expectation(tuple(eventual), rounds, turns, tuple(consistent))
 
 

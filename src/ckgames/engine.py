@@ -481,25 +481,20 @@ def _min_rotation(w: World) -> World:
 # cap stability
 
 
-def stability_check(scenario: scenarios.Scenario, cap: int, larger_cap: int) -> bool:
-    """True iff the run is identical under both caps over the requested horizon.
-
-    Transcripts are compared on announcements and eventual classifications;
-    state sizes are cap dependent bookkeeping and excluded.
+def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
+    """True iff the scenario, run as given, runs the same with its constraint's cap
+    raised by `growth`.  Transcripts are compared on announcements and eventual
+    classifications; state sizes are cap dependent bookkeeping and excluded.
     """
     if not scenarios.needs_cap(scenario.constraint):
         raise EngineError("scenario family does not take a cap")
-    if larger_cap <= cap:
-        raise EngineError(f"larger cap {larger_cap} must exceed cap {cap}")
-    a = run(_with_cap(scenario, cap))
-    b = run(_with_cap(scenario, larger_cap))
+    cap = scenario.constraint.cap
+    if growth < 1:
+        raise EngineError(f"larger cap {cap + growth} must exceed cap {cap}")
+    a = run(scenario)
+    b = run(replace(scenario, constraint=replace(scenario.constraint, cap=cap + growth)))
     key = lambda t: [(e.round, e.turn, e.agent, e.answer) for e in t.events]
     return key(a) == key(b) and a.eventual == b.eventual
-
-
-def _with_cap(scenario: scenarios.Scenario, cap: int) -> scenarios.Scenario:
-    bound = replace(scenario.bound, cap=cap) if scenario.bound else scenarios.BoundConfig(cap)
-    return replace(scenario, constraint=scenarios.with_cap(scenario.constraint, cap), bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Each constraint can enumerate its full world set in canonical (lexicographic)
 order, test membership, and report an exact count without enumerating.  The
 constraints whose natural universe is infinite (exact or at-most maximum
-difference, consecutive numbers) carry an explicit value cap; the cap is a
-finite proxy validated by the engine's stability check, not by construction.
+difference, consecutive numbers) have a `cap` field, the largest value a
+world may hold; needs_cap tells them by it, and nothing else stores the cap.
+The cap is a finite proxy validated by the engine's stability check, not by
+construction.
 
 Every constraint is exchangeable: it accepts a world by its multiset of
 values, never by which seat holds which value, so `contains(w)` equals
@@ -20,14 +22,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
 from .worlds import KnowledgeState, VisibilityGraph, World
 
 
 class GenerationError(Exception):
-    """Constraint/agent-count mismatch, missing cap, or inconsistent actual world."""
+    """Constraint/agent-count mismatch, a cap below what the constraint needs,
+    or an inconsistent actual world."""
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +386,9 @@ def stream_worlds(
             yield w
 
 
-@dataclass(frozen=True)
-class BoundConfig:
-    """Value cap standing in for an unbounded domain, plus the stability increment."""
-
-    cap: int
-    growth: int = 10
-
-
-def needs_cap(constraint: Constraint) -> bool:
-    return isinstance(constraint, (MaxDiffExact, MaxDiffAtMost, ConsecutiveDistinct))
-
-
-def with_cap(constraint: Constraint, cap: int) -> Constraint:
-    if not needs_cap(constraint):
-        raise GenerationError("constraint does not take a cap")
-    return replace(constraint, cap=cap)
+def needs_cap(constraint: Constraint | type) -> bool:
+    """Whether a constraint (or constraint class) is capped: whether it has a cap field."""
+    return any(f.name == "cap" for f in fields(constraint))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +406,7 @@ class Scenario:
     protocol: "ProtocolSpec"
     actual: Optional[World]
     alphabet: Optional[tuple[str, ...]] = None
-    bound: Optional[BoundConfig] = None
+    growth: int = 10  # the stability check's cap increment, for a constraint with a cap
 
     @property
     def n_agents(self) -> int:
@@ -434,14 +424,6 @@ class Scenario:
                 raise GenerationError("actual world length does not match agent count")
             if not self.constraint.contains(self.actual):
                 raise GenerationError("actual world violates the announced constraint")
-        if needs_cap(self.constraint):
-            if self.bound is None:
-                raise GenerationError("this scenario family requires an explicit bound")
-            # the bound's cap is what `ck stability` starts from, so it must be the one run plays
-            if self.bound.cap != self.constraint.cap:
-                raise GenerationError(
-                    f"bound cap {self.bound.cap} is not the constraint's cap {self.constraint.cap}"
-                )
 
     def value_label(self, v: int) -> str:
         if self.alphabet is not None and 0 <= v < len(self.alphabet):

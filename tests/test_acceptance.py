@@ -24,7 +24,6 @@ from ckgames.engine import (
 )
 from ckgames.scenarios import (
     Blind,
-    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,
@@ -225,14 +224,14 @@ def test_criterion_09_maxdiff_grid_and_puzzle9():
                     protocol = Simultaneous(rounds) if proto_name == "simultaneous" \
                         else Circular((0, 1), rounds)
                     sc = Scenario("md", ("alice", "bob"), MaxDiffExact(d, cap), Full(),
-                                  protocol, world, bound=BoundConfig(cap, 10))
+                                  protocol, world)
                     t = run(sc)
                     pred = oracles.predict_maxdiff_two(m, d, proto_name, holder)
                     mismatches += bool(oracles.cross_check(pred, t))
-                    assert stability_check(sc, cap, cap + 10), (d, m, holder, proto_name)
+                    assert stability_check(sc, 10), (d, m, holder, proto_name)
     assert mismatches == 0
     puzzle9 = run(Scenario("p9", ("alice", "bob"), MaxDiffExact(1, 20), Full(),
-                           Circular((0, 1), 12), (2, 3), bound=BoundConfig(20, 10)))
+                           Circular((0, 1), 12), (2, 3)))
     assert puzzle9.eventual[1] == Eventual.learns(2, 4)
     assert puzzle9.eventual[0] == Eventual.learns(3, 5)
     ok(9, "two-person max difference: oracle matches engine on the full grid, stable caps")
@@ -245,7 +244,7 @@ def _consecutive_rows(n, protocol_kind, cap):
     protocol = Simultaneous(20) if protocol_kind == "simultaneous" \
         else Circular(tuple(range(n)), 20)
     family = Scenario("cons", agents(n), ConsecutiveDistinct(cap), Full(), protocol,
-                      None, bound=BoundConfig(cap, 6))
+                      None)
     return {row.world: row for row in sweep(family).rows}
 
 
@@ -291,7 +290,7 @@ def test_criterion_11_d1_formula():
                 rounds = m * (n - 1) + p + 4
                 cap = m + 1 + rounds + 2
                 sc = Scenario("d1", agents(n), MaxDiffExact(1, cap), Full(),
-                              Simultaneous(rounds), world, bound=BoundConfig(cap, 6))
+                              Simultaneous(rounds), world)
                 t = run(sc)
                 mismatches += bool(oracles.cross_check(oracles.predict_d1_world(world), t))
     assert mismatches == 0
@@ -338,11 +337,11 @@ def test_criterion_11_puzzle_pattern_sweep():
     for prof, d in (((0, 0, 1, 1, 1, 2), 2), ((1, 1, 2, 2, 2, 4), 3)):
         cap = max(prof) + 30
         sc = Scenario("p11", agents(6), MaxDiffExact(d, cap), Full(), Simultaneous(20),
-                      prof, bound=BoundConfig(cap, 10))
+                      prof)
         t = run(sc)
         firsts = first_rounds(t)
         assert tuple(sum(1 for f in firsts if f == r) for r in range(1, 5)) == target
-        assert stability_check(sc, cap, cap + 10)
+        assert stability_check(sc, 10)
     ok(11, "pattern sweep: published multiset found; one floor-forced companion recorded")
 
 

@@ -9,7 +9,7 @@ import pytest
 from ckgames import dsl
 from ckgames.dsl import ParseError, SemanticError, parse, parse_expected, pretty
 from ckgames.engine import run
-from ckgames.scenarios import Circular, HatsAtLeast, Simultaneous, SumOrProduct
+from ckgames.scenarios import Circular, HatsAtLeast, MaxDiffExact, Simultaneous, SumOrProduct
 
 INTRO = '''
 # the three shrewd sages
@@ -161,6 +161,9 @@ _DIAGNOSTICS = {
         _scenario(values="", announce="  announce maxdiffatmost 5\n  bound 3\n",
                   actual="  actual [ 1 2 2 ]\n"),
         SemanticError, "3:12: cap must be at least the required difference", 41),
+    "bound_on_uncapped": (
+        _scenario(announce="  announce atleast red 1\n  bound 9 growth 3\n"), SemanticError,
+        "5:3: atleast scenarios take no bound statement", 79),
     "consecutive_needs_bound": (
         _scenario(values="", announce="  announce consecutive\n", actual="  actual [ 1 2 3 ]\n"),
         SemanticError, "3:12: consecutive scenarios need a bound statement", 41),
@@ -285,6 +288,16 @@ scenario "blind" {
         assert parse(pretty(sc)) == sc
 
 
+@pytest.mark.parametrize("bound,growth", [("bound 9", 10), ("bound 9 growth 4", 4)])
+def test_bound_gives_the_constraint_its_cap_and_the_scenario_its_growth(bound, growth):
+    sc = parse('scenario "md" { agents a b announce maxdiff 1 sight full '
+               f'protocol simultaneous rounds 4 actual [ 2 3 ] {bound} }}')
+    assert sc.constraint == MaxDiffExact(1, 9)
+    assert sc.growth == growth
+    assert f"  bound 9 growth {growth}\n" in pretty(sc)
+    assert parse(pretty(sc)) == sc
+
+
 @pytest.mark.parametrize("values", ["", "  values { lo hi }\n"])
 def test_roundtrip_keeps_the_zeroone_alphabet(values):
     sc = parse(f'''
@@ -320,9 +333,11 @@ def test_parse_expected_forms():
 eventual: alice=never bob=round2 cara=turn4 dee=round3+
 rounds: [NO NO; YES NO]
 consistent: bob={2 25}
+eventual: erin=unknown
 ''')
     assert ("alice", "never", None, False) in exp.eventual
     assert ("dee", "round", 3, True) in exp.eventual
+    assert exp.eventual[-1] == ("erin", "unknown", None, False)  # eventual lines may repeat
     assert exp.rounds == ((False, False), (True, False))
     assert exp.consistent == (("bob", ("2", "25")),)
 
@@ -332,6 +347,39 @@ def test_parse_expected_malformed():
         parse_expected("rounds: [MAYBE NO]")
     with pytest.raises(ParseError):
         parse_expected("eventual: alice=sometimes")
+
+
+# one input per diagnostic parse_expected can give, each with "line:col: message"
+# and offset; a span points at the word at fault, or at a wrong line's first word
+_EXPECT_DIAGNOSTICS = {
+    "no_colon": ("  rounds [YES]", "1:3: expected 'key: value' line", 2),
+    "name_outcome": ("eventual: alice=never bob", "1:23: expected name=outcome, found 'bob'", 22),
+    "bad_outcome": ("eventual: alice=sometimes", "1:17: bad outcome 'sometimes'", 16),
+    "unbracketed": ("turns: YES NO", "1:8: turns pattern must be bracketed", 7),
+    "yes_or_no": ("rounds: [YES NO; NO MAYBE]", "1:21: answers must be YES or NO, found 'MAYBE'", 20),
+    "empty_row": ("rounds: [YES NO; ]", "1:18: empty answer row", 17),
+    "duplicate_rounds": ("rounds: [YES NO]\nrounds: [NO NO]", "2:1: duplicate rounds line", 17),
+    "duplicate_turns": ("turns: [NO] # a note\n  turns: [YES]", "2:3: duplicate turns line", 23),
+    "consistent_equals": ("consistent: bob {2 25}", "1:13: expected name={values}", 12),
+    "consistent_braces": ("consistent: bob=2 25", "1:17: value set must be braced", 16),
+    "consistent_empty": ("consistent: bob={ }", "1:17: empty value set", 16),
+    "unknown_key": ("eventual: a=never\n  during: x", "2:3: unknown expectation key 'during'", 20),
+    # CRLF line ends, and a comment line, before the word at fault
+    "crlf": ("eventual: a=never\r\nrounds: [YES\tMAYBE]\r\n",
+             "2:14: answers must be YES or NO, found 'MAYBE'", 32),
+    "after_comment": ("# c\neventual: a=round1\n  rounds: [YES MAYBE]",
+                      "3:16: answers must be YES or NO, found 'MAYBE'", 38),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXPECT_DIAGNOSTICS))
+def test_every_expectation_diagnostic_keeps_its_text_and_span(case):
+    text, expected, offset = _EXPECT_DIAGNOSTICS[case]
+    with pytest.raises(ParseError) as err:
+        parse_expected(text)
+    assert type(err.value) is ParseError
+    assert str(err.value) == expected
+    assert err.value.span.offset == offset
 
 
 def test_match_expectation():

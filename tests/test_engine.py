@@ -21,11 +21,11 @@ from ckgames.engine import (
 )
 from ckgames.scenarios import (
     Blind,
-    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,
     Full,
+    GenerationError,
     HatsAtLeast,
     HatsExactly,
     MaxDiffAtMost,
@@ -37,7 +37,6 @@ from ckgames.scenarios import (
     SumInSet,
     SumOrProduct,
     ZeroOne,
-    needs_cap,
 )
 
 R, B = 0, 1
@@ -335,8 +334,7 @@ FAMILY_ROWS = {
 
 @pytest.mark.parametrize("n,constraint,sight", sorted(FAMILY_ROWS, key=repr), ids=repr)
 def test_sweep_rows_of_symmetric_families_are_pinned(n, constraint, sight):
-    bound = BoundConfig(constraint.cap) if isinstance(constraint, MaxDiffExact) else None
-    family = dataclasses.replace(periodic(n, constraint, sight, Simultaneous(10)), bound=bound)
+    family = periodic(n, constraint, sight, Simultaneous(10))
     text = "\n".join(
         repr((r.world, [(e.kind, e.round, e.turn) for e in r.eventual], sorted(r.learners), r.digest))
         for r in sweep(family).rows
@@ -402,18 +400,25 @@ def test_sweep_rejects_unknown_orbit():
 
 def test_stability_pass_and_fail():
     sc = Scenario("s", ("a", "b"), MaxDiffExact(1, 10), Full(),
-                  Circular((0, 1), 12), (2, 3), bound=BoundConfig(10))
-    assert stability_check(sc, 10, 20)
+                  Circular((0, 1), 12), (2, 3))
+    assert stability_check(sc, 10)
     # a cap hugging the actual world leaks knowledge through the boundary
     tiny = Scenario("s", ("a", "b"), MaxDiffExact(1, 4), Full(),
-                    Circular((0, 1), 12), (2, 3), bound=BoundConfig(4))
-    assert not stability_check(tiny, 4, 20)
+                    Circular((0, 1), 12), (2, 3))
+    assert not stability_check(tiny, 16)
+
+
+def test_stability_check_runs_the_scenario_as_given():
+    # (4, 5) is above cap 3 but within cap 3 + 10: the scenario itself is invalid
+    sc = Scenario("s", ("a", "b"), MaxDiffExact(1, 3), Full(), Simultaneous(8), (4, 5))
+    with pytest.raises(GenerationError, match="violates"):
+        stability_check(sc, 10)
 
 
 def test_stability_rejects_capless_families():
     sc = Scenario("s", ("a", "b"), SumOrProduct(50), Full(), Simultaneous(6), (25, 25))
     with pytest.raises(EngineError):
-        stability_check(sc, 10, 20)
+        stability_check(sc, 10)
 
 
 def streamed(sc):
@@ -460,9 +465,8 @@ def test_profile_evaluator_agrees_with_engine():
     ]
     for c, n in families:
         table = run_profiles(profile_universe(c, n), 30)
-        bound = BoundConfig(c.cap) if needs_cap(c) else None
         family = Scenario("m", tuple(f"a{i}" for i in range(n)), c, Full(),
-                          Simultaneous(30), None, bound=bound)
+                          Simultaneous(30), None)
         for row in sweep(family).rows:
             prof = tuple(sorted(row.world))
             for i, v in enumerate(row.world):
@@ -483,10 +487,9 @@ def test_transcript_digest_stable():
     assert transcript_digest(t1.events) == transcript_digest(t2.events)
 
 
-@pytest.mark.parametrize("larger_cap", [20, 17])
-def test_stability_check_refuses_a_cap_that_does_not_grow(larger_cap):
+@pytest.mark.parametrize("growth", [0, -3])
+def test_stability_check_refuses_a_cap_that_does_not_grow(growth):
     # comparing a cap with itself, or with a smaller one, tests nothing
-    sc = Scenario("c", ("a", "b"), ConsecutiveDistinct(20), Full(), Simultaneous(5), (4, 5),
-                  bound=BoundConfig(20))
-    with pytest.raises(EngineError, match="must exceed"):
-        stability_check(sc, 20, larger_cap)
+    sc = Scenario("c", ("a", "b"), ConsecutiveDistinct(20), Full(), Simultaneous(5), (4, 5))
+    with pytest.raises(EngineError, match=f"larger cap {20 + growth} must exceed cap 20"):
+        stability_check(sc, growth)

@@ -8,7 +8,6 @@ import pytest
 
 from ckgames.scenarios import (
     Blind,
-    BoundConfig,
     Circular,
     ConsecutiveDistinct,
     FarCircle,
@@ -158,24 +157,11 @@ def test_cap_below_difference_rejected():
 
 
 def test_scenario_validation():
-    sc = Scenario(
-        "x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 3),
-        bound=BoundConfig(9),
-    )
+    sc = Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 3))
     sc.validate()
-    bad = Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 5),
-                   bound=BoundConfig(9))
+    bad = Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 5))
     with pytest.raises(GenerationError):
         bad.validate()
-    uncapped = Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 3))
-    with pytest.raises(GenerationError):
-        uncapped.validate()
-    # a bound whose cap is not the constraint's: run would play cap 3 while
-    # `ck stability` compared caps 40 and 50
-    other_cap = Scenario("m", ("a", "b"), MaxDiffExact(1, 3), Full(), Simultaneous(8), (3, 2),
-                         bound=BoundConfig(40))
-    with pytest.raises(GenerationError, match="bound cap 40 is not the constraint's cap 3"):
-        other_cap.validate()
 
 
 def test_circular_order_must_be_permutation():
