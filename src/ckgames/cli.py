@@ -34,7 +34,8 @@ def main(argv=None) -> int:
     p_verify.add_argument("--slow", action="store_true", help="include *.slow.ck fixtures")
     p_verify.add_argument(
         "--timings", action="store_true",
-        help="print each fixture's wall time and path (materialized or streamed) to stderr",
+        help="print each fixture's wall time and the path its run took "
+        "(profiles, materialized or streamed; see engine.run_path) to stderr",
     )
 
     p_sweep = sub.add_parser("sweep", help="run every world of a family (sweep marker)")
@@ -143,8 +144,7 @@ def cmd_verify(args) -> int:
                     problems = ["fixture has a sweep marker; verify needs an actual world"]
                 else:
                     transcript = engine.run(sc)
-                    streamed = sc.constraint.count_worlds(sc.n_agents) > engine.STREAM_THRESHOLD
-                    mode = "streamed" if streamed else "materialized"
+                    mode = engine.run_path(sc, sc.visibility())
         except (dsl.ParseError, dsl.SemanticError) as e:
             problems = [f"parse error: {e}"]
         except (dsl.ReadError, worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:

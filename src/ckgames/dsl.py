@@ -247,13 +247,13 @@ class _Parser:
         self.expect("IDENT", "rounds")
         return kind, order, int(self.expect("INT").text)
 
-    def bound(self, stmt: Token) -> tuple[Token, int, int]:
+    def bound(self, stmt: Token) -> tuple[Token, int, Optional[Token], int]:
         cap = int(self.expect("INT").text)
-        growth = Scenario.growth  # the field's default
+        word, growth = None, Scenario.growth  # the field's default
         if self.peek()[:2] == ("IDENT", "growth"):
-            self.next()
+            word = self.next()
             growth = int(self.expect("INT").text)
-        return stmt, cap, growth
+        return stmt, cap, word, growth
 
 
 def parse(text: str) -> Scenario:
@@ -314,10 +314,12 @@ def _assemble(text: str, name: str, stmts: dict) -> Scenario:
         if color.text not in colors:
             raise SemanticError(at(color), f"unknown color {color.text!r}")
         args.update(color=colors.index(color.text), n_colors=len(colors))
-    bound, cap, growth = stmts.get("bound", (None, None, Scenario.growth))
+    bound, cap, word, growth = stmts.get("bound", (None, None, None, Scenario.growth))
     if scenarios.needs_cap(cls):
         if bound is None:
             raise SemanticError(at(kind), f"{family} scenarios need a bound statement")
+        if growth < 1:  # a cap compared with itself or a smaller one tests nothing
+            raise SemanticError(at(word), "growth must be positive")
         args["cap"] = cap
     elif bound is not None:
         raise SemanticError(at(bound), f"{kind.text} scenarios take no bound statement")

@@ -9,6 +9,10 @@ first-time YES), or at the horizon.
 
 "Never" is only asserted after a certified fixpoint; hitting the horizon
 without one yields "unknown".
+
+A run of a simultaneous game in which every seat sees every other reads its
+transcript off the value-profile evaluator instead (see run_path and
+_run_on_profiles); its rounds stop by the same rule.
 """
 
 from __future__ import annotations
@@ -141,6 +145,13 @@ def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph) -> SeatGrou
 
 def _pays_for_a_group(size: int, n: int) -> bool:
     """Whether a run over `size` worlds and n seats is worth setting its seat group up for.
+
+    Only a held run on the world path asks, so the group it weighs serves
+    simultaneous games in which some seat does not see every other (circle
+    and line sight, most blind seatings).  Full-sight simultaneous runs take
+    the profile path and set up no group; sweeps always set it up.  The
+    numbers below were measured on full- and circle-sight universes before
+    full-sight runs left the world path.
 
     A split through the group builds at most n - 1 fewer tables than a plain
     one, each a pass over the worlds.  Against that stand closing the group
@@ -336,33 +347,64 @@ def _classify(
 def run(scenario: scenarios.Scenario) -> Transcript:
     """Play the scenario's protocol to completion and return the transcript.
 
-    A held universe is quotiented like a sweep, by the group of seat
-    permutations generated by rotation by one seat and by reversal, each kept
-    only if it maps the sight graph onto itself (see _sweep_group).  Each
-    split builds tables for one seat per orbit of the permutations that fix
-    the actual world's cell and, when those outnumber the seats, answers one
-    world per orbit of the cell's worlds.  Circular turns, blind agents and
-    universes too small to pay for the set-up (see _pays_for_a_group) keep
-    the identity alone.
-
-    Universes above STREAM_THRESHOLD worlds are never held: each step makes a
-    pass over the generator until the state is small enough to materialize.
-    Such a streamed run keeps the identity alone.
+    The path is the one run_path names.  A simultaneous game in which every
+    seat sees every other is played over sorted value profiles with their
+    multiplicities (see _run_on_profiles) and never builds its universe.
+    Any other game is played over worlds (see _run_on_worlds): the universe
+    is held up to STREAM_THRESHOLD worlds and streamed above.
     """
     scenario.validate()
-    actual = scenario.actual
-    if actual is None:
+    if scenario.actual is None:
         raise EngineError("scenario has a free actual world; use sweep instead")
-    n = scenario.n_agents
     vis = scenario.visibility()
-    size = scenario.constraint.count_worlds(n)
-    if size > STREAM_THRESHOLD:
-        universe = _Lazy(scenario.constraint, n, (), size)
+    path = run_path(scenario, vis)
+    if path == "profiles":
+        return _run_on_profiles(scenario)
+    return _run_on_worlds(scenario, vis, streamed=path == "streamed")
+
+
+def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
+    """How run plays the scenario over its sight graph `vis`: "profiles", "materialized" or "streamed".
+
+    "profiles" when the protocol is simultaneous and every seat sees every
+    other, whatever the sight model that drew the graph; otherwise
+    "streamed" above STREAM_THRESHOLD worlds and "materialized" up to it.
+    """
+    if isinstance(scenario.protocol, scenarios.Simultaneous) and all(
+        len(seen) == vis.n_agents - 1 for seen in vis.sees  # no seat sees itself
+    ):
+        return "profiles"
+    if scenario.constraint.count_worlds(scenario.n_agents) > STREAM_THRESHOLD:
+        return "streamed"
+    return "materialized"
+
+
+def _run_on_worlds(scenario: scenarios.Scenario, vis: VisibilityGraph, streamed: bool) -> Transcript:
+    """run over world tuples, streamed or held as `streamed` says.
+
+    A held universe of a simultaneous game is quotiented like a sweep, by the
+    group of seat permutations generated by rotation by one seat and by
+    reversal, each kept only if it maps the sight graph onto itself (see
+    _sweep_group): circle sight keeps the dihedral group and line sight the
+    reversal.  Each split builds tables for one seat per orbit of the
+    permutations that fix the actual world's cell and, when those outnumber
+    the seats, answers one world per orbit of the cell's worlds.  Circular
+    turns, blind agents and universes too small to pay for the set-up (see
+    _pays_for_a_group) keep the identity alone.
+
+    A streamed universe is never held: each step makes a pass over the
+    generator until the state is small enough to materialize.  Such a run
+    keeps the identity alone.
+    """
+    actual = scenario.actual
+    n = scenario.n_agents
+    if streamed:
+        universe = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
         group = SeatGroup(vis)
     else:
         universe = scenario.universe()
         if actual not in universe:
-            raise EngineError("actual world is not a member of the generated universe")
+            raise EngineError(_NOT_A_MEMBER)
         group = _sweep_group(scenario, vis) if _pays_for_a_group(len(universe), n) else SeatGroup(vis)
     ((branch, stabilized),) = _play(scenario, universe, group, actual)
     seen = [set() for _ in range(n)]
@@ -379,6 +421,76 @@ def run(scenario: scenarios.Scenario) -> Transcript:
         stabilized_at=stabilized,
         final_candidates=tuple(tuple(sorted(values)) for values in seen),
     )
+
+
+_NOT_A_MEMBER = "actual world is not a member of the generated universe"
+
+
+def _run_on_profiles(scenario: scenarios.Scenario) -> Transcript:
+    """run for a simultaneous game in which every seat sees every other, over value profiles.
+
+    Seat i's answer depends only on its own value and the world's profile, so
+    run_profiles' table gives every world's whole transcript: seat i of the
+    actual world says NO before the first-YES round of its value and YES
+    from then on.  After round r a seat's class is that round if it is at
+    most r, else "not yet", and a world is still possible when each seat's
+    value has the class of the actual world's seat.  So a profile's worlds
+    survive when its values fill the seats of each class exactly, and then
+    they number the product over the classes of the multinomial of the
+    profile's values in the class.  With k_c seats in class c and m_v copies
+    of value v, that is (prod_c k_c!) / (prod_v m_v!).  Rounds stop by
+    _play's rule, and a seat's final candidates are the values of its class
+    in the surviving profiles.
+    """
+    n = scenario.n_agents
+    actual = scenario.actual
+    table = run_profiles(profile_universe(scenario.constraint, n), scenario.protocol.max_rounds)
+    firsts = table.get(tuple(sorted(actual)))
+    if firsts is None:
+        raise EngineError(_NOT_A_MEMBER)
+    seat_firsts = [firsts[v] for v in actual]
+    live = ((prof, row, 0) for prof, row in table.items())  # 0: prod_v m_v! not worked out yet
+    initial_size = size = scenario.constraint.count_worlds(n)
+    learners, events, stabilized = 0, [], None
+    for rnd in range(1, scenario.protocol.max_rounds + 1):
+        classes = [f if f is not None and f <= rnd else 0 for f in seat_firsts]  # 0: not yet
+        wanted = sorted(classes)
+        live = [
+            (prof, row, repeats or _repeats(prof)) for prof, row, repeats in live
+            if sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]) == wanted
+        ]
+        seats = _repeats(wanted)  # prod_c k_c!
+        before = size, learners
+        size = sum([seats // repeats for _, _, repeats in live])
+        learners = n - classes.count(0)
+        events += [Event(rnd, rnd, i, c != 0, size) for i, c in enumerate(classes)]
+        if learners == n or (size, learners) == before:
+            stabilized = rnd
+            break
+    candidates: dict[int, set[int]] = {}
+    for prof, row, _ in live:
+        for v in prof:
+            f = row[v]
+            candidates.setdefault(f if f is not None and f <= rnd else 0, set()).add(v)
+    return Transcript(
+        scenario=scenario.name,
+        agents=scenario.agents,
+        protocol="simultaneous",
+        initial_size=initial_size,
+        events=tuple(events),
+        eventual=_classify(n, {i: Eventual.learns(c, c) for i, c in enumerate(classes) if c}, stabilized),
+        stabilized_at=stabilized,
+        final_candidates=tuple(tuple(sorted(candidates[c])) for c in classes),
+    )
+
+
+def _repeats(prof) -> int:
+    """The product of the factorials of the multiplicities of a sorted sequence's values."""
+    out = streak = 1
+    for a, b in zip(prof, prof[1:]):
+        streak = streak + 1 if a == b else 1
+        out *= streak
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +615,18 @@ def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
 # With full sight and simultaneous announcements, an agent's answer depends
 # only on its own value and the multiset of all values: permuting agents
 # permutes transcripts.  The whole family can therefore be evaluated over
-# sorted value profiles instead of world tuples, which turns sweeps over
-# millions of worlds into sweeps over a few hundred profiles.  Validated
-# against run() in the test suite.
+# sorted value profiles instead of world tuples, which turns millions of
+# worlds into a few hundred profiles: the counter abstraction of fully
+# symmetric systems (Emerson & Sistla 1996; Pnueli, Xu & Zuck 2002).  run
+# reads full-sight simultaneous transcripts off this table (see
+# _run_on_profiles), so run is no independent check of it.  The tests hold
+# it against the world path (_run_on_worlds and sweep, which share _play)
+# and against a knows_own replay.
 
 
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:
-    """Sorted value profiles of the constraint's worlds.
-
-    An exact-difference family (the criterion-11 cells, d = 0 included) is
-    enumerated as multisets, one window of values at a time, so large caps stay
-    cheap.  Any other constraint sorts each world its generator yields.
-    """
-    if isinstance(constraint, scenarios.MaxDiffExact):
-        d = constraint.diff
-        return frozenset(
-            prof
-            for lo in range(constraint.cap - d + 1)
-            for prof in itertools.combinations_with_replacement(range(lo, lo + d + 1), n)
-            if prof[0] == lo and prof[-1] == lo + d
-        )
-    return frozenset(tuple(sorted(w)) for w in constraint.generate(n))
+    """Sorted value profiles of the constraint's worlds, enumerated as multisets (see scenarios)."""
+    return frozenset(constraint.profiles(n))
 
 
 def run_profiles(

@@ -1,7 +1,9 @@
 """Universe constraints, sight models, and scenario construction.
 
 Each constraint can enumerate its full world set in canonical (lexicographic)
-order, test membership, and report an exact count without enumerating.  The
+order, enumerate the sorted value profiles (multisets) of those worlds
+directly, each once, test membership, and report an exact count without
+enumerating.  The
 constraints whose natural universe is infinite (exact or at-most maximum
 difference, consecutive numbers) have a `cap` field, the largest value a
 world may hold; needs_cap tells them by it, and nothing else stores the cap.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional
 
@@ -48,6 +51,9 @@ class HatsAtLeast:
     def generate(self, n: int) -> Iterator[World]:
         return _hat_tuples(self.n_colors, n, self.color, self.count, n)
 
+    def profiles(self, n: int) -> Iterator[World]:
+        return _hat_profiles(self.n_colors, n, self.color, self.count, n)
+
     def contains(self, w: World) -> bool:
         return (
             all(0 <= v < self.n_colors for v in w) and w.count(self.color) >= self.count
@@ -70,6 +76,9 @@ class HatsExactly:
 
     def generate(self, n: int) -> Iterator[World]:
         return _hat_tuples(self.n_colors, n, self.color, self.count, self.count)
+
+    def profiles(self, n: int) -> Iterator[World]:
+        return _hat_profiles(self.n_colors, n, self.color, self.count, self.count)
 
     def contains(self, w: World) -> bool:
         return (
@@ -101,6 +110,9 @@ class MaxDiffExact:
         return heapq.merge(
             *(_window_tuples(lo, self.diff, n) for lo in range(self.cap - self.diff + 1))
         )
+
+    def profiles(self, n: int) -> Iterator[World]:
+        return _window_profiles(self.diff, self.cap, n)
 
     def contains(self, w: World) -> bool:
         return (
@@ -136,6 +148,11 @@ class MaxDiffAtMost:
             )
         )
 
+    def profiles(self, n: int) -> Iterator[World]:
+        return itertools.chain.from_iterable(
+            _window_profiles(d, self.cap, n) for d in range(self.diff + 1)
+        )
+
     def contains(self, w: World) -> bool:
         return all(0 <= v <= self.cap for v in w) and max(w) - min(w) <= self.diff
 
@@ -164,6 +181,10 @@ class ConsecutiveDistinct:
             )
         )
 
+    def profiles(self, n: int) -> Iterator[World]:
+        self._check(n)
+        return (tuple(range(lo, lo + n)) for lo in range(self.cap - n + 2))
+
     @staticmethod
     def _is_consecutive(w: World) -> bool:
         lo = min(w)
@@ -187,6 +208,12 @@ class SumOrProduct:
         # a factorization summing to `announced` is a composition too, so it is left out
         m = self.announced
         return heapq.merge(_compositions({m}, n), (f for f in _factorizations(m, n) if sum(f) != m))
+
+    def profiles(self, n: int) -> Iterator[World]:
+        m = self.announced
+        return itertools.chain(
+            _partitions(m, n, 1), (f for f in _factor_multisets(m, n, 1) if sum(f) != m)
+        )
 
     def contains(self, w: World) -> bool:
         if any(v < 1 for v in w):
@@ -212,6 +239,9 @@ class SumInSet:
     def generate(self, n: int) -> Iterator[World]:
         yield from _compositions(set(self.sums), n)
 
+    def profiles(self, n: int) -> Iterator[World]:
+        return itertools.chain.from_iterable(_partitions(s, n, 1) for s in self.sums)
+
     def contains(self, w: World) -> bool:
         return all(v >= 1 for v in w) and sum(w) in self.sums
 
@@ -225,6 +255,9 @@ class ZeroOne:
 
     def generate(self, n: int) -> Iterator[World]:
         return _hat_tuples(2, n, 0, 1, n)
+
+    def profiles(self, n: int) -> Iterator[World]:
+        return _hat_profiles(2, n, 0, 1, n)
 
     def contains(self, w: World) -> bool:
         return all(v in (0, 1) for v in w) and 0 in w
@@ -270,6 +303,31 @@ def _window_tuples(lo: int, d: int, n: int) -> Iterator[World]:
             yield w
 
 
+def _hat_profiles(n_colors: int, n: int, color: int, lo: int, hi: int) -> Iterator[World]:
+    """The sorted worlds of _hat_tuples: k entries equal to `color`, lo <= k <= hi,
+    and any multiset of the other colors on the rest."""
+    others = [c for c in range(n_colors) if c != color]
+    for k in range(lo, min(hi, n) + 1):
+        for rest in itertools.combinations_with_replacement(others, n - k):
+            yield tuple(sorted(rest + (color,) * k))
+
+
+def _window_profiles(d: int, cap: int, n: int) -> Iterator[World]:
+    """The sorted worlds of every window [lo, lo+d] with lo + d <= cap: lo and
+    lo + d around any multiset of the window's values."""
+    if d == 0:
+        return ((lo,) * n for lo in range(cap + 1))
+    if n < 2:
+        return iter(())
+    # joined by map in C, without a Python frame per profile
+    return itertools.chain.from_iterable(
+        map(operator.add, map(operator.add, itertools.repeat((lo,)),
+                              itertools.combinations_with_replacement(range(lo, lo + d + 1), n - 2)),
+            itertools.repeat((lo + d,)))
+        for lo in range(cap - d + 1)
+    )
+
+
 def _compositions(sums: set[int], n: int) -> Iterator[World]:
     """Positive n-tuples with sum in `sums`, in lexicographic order."""
     if n == 1:
@@ -295,6 +353,30 @@ def _factorizations(product: int, n: int) -> Iterator[World]:
         if product % head == 0:
             for tail in _factorizations(product // head, n - 1):
                 yield (head,) + tail
+
+
+def _partitions(total: int, n: int, least: int) -> Iterator[World]:
+    """Non-decreasing n-tuples of integers of at least `least` summing to `total`."""
+    if n == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for head in range(least, total // n + 1):
+        for tail in _partitions(total - head, n - 1, head):
+            yield (head,) + tail
+
+
+def _factor_multisets(product: int, n: int, least: int) -> Iterator[World]:
+    """Non-decreasing n-tuples of integers of at least `least` (>= 1) with the given product."""
+    if n == 1:
+        if product >= least:
+            yield (product,)
+        return
+    head = least
+    while head**n <= product:
+        if product % head == 0:
+            yield from ((head,) + tail for tail in _factor_multisets(product // head, n - 1, head))
+        head += 1
 
 
 # ---------------------------------------------------------------------------

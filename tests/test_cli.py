@@ -104,11 +104,13 @@ def test_contract_violation_is_a_clean_refusal(capsys, monkeypatch, argv):
 
 def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
     # one fixture passes, one fails its expectation, one has no expectation;
-    # with a budget of 5 worlds intro_two_reds (7 worlds) starts streamed and
-    # nearsighted_sim_n4 (4 worlds) is held
-    for name in ("intro_two_reds", "nearsighted_sim_n4"):
+    # with a budget of 5 worlds blind_red_circular (7 worlds) starts streamed,
+    # nearsighted_sim_n4 (4 worlds) is held and intro_two_reds, a full-sight
+    # simultaneous game, is played over value profiles whatever its size
+    for name in ("blind_red_circular", "intro_two_reds", "nearsighted_sim_n4"):
         (tmp_path / f"{name}.ck").write_text((FIXTURES / f"{name}.ck").read_text())
-    (tmp_path / "nearsighted_sim_n4.expect").write_text((FIXTURES / "nearsighted_sim_n4.expect").read_text())
+    for name in ("blind_red_circular", "nearsighted_sim_n4"):
+        (tmp_path / f"{name}.expect").write_text((FIXTURES / f"{name}.expect").read_text())
     (tmp_path / "intro_two_reds.expect").write_text("eventual: alice=round2\n")
     (tmp_path / "lone.ck").write_text((FIXTURES / "intro_one_red.ck").read_text())
     monkeypatch.setattr(engine, "STREAM_THRESHOLD", 5)
@@ -118,12 +120,23 @@ def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
     assert timed[1].out == plain[1].out
     times = [line.split() for line in timed[1].err.splitlines() if line.startswith("time  ")]
     assert [(t[1], t[3], t[4:]) for t in times] == [
-        ("intro_two_reds.ck", "s", ["streamed"]), ("lone.ck", "s", ["not", "run"]),
-        ("nearsighted_sim_n4.ck", "s", ["materialized"]),
+        ("blind_red_circular.ck", "s", ["streamed"]), ("intro_two_reds.ck", "s", ["profiles"]),
+        ("lone.ck", "s", ["not", "run"]), ("nearsighted_sim_n4.ck", "s", ["materialized"]),
     ]
     assert all(float(t[2]) >= 0 for t in times)
     rest = [line for line in timed[1].err.splitlines() if not line.startswith("time  ")]
     assert rest == plain[1].err.splitlines()
+
+
+def test_verify_timings_name_the_path_of_each_run(tmp_path, capsys):
+    for name in ("puzzle11_pattern", "line5_scaled"):
+        for suffix in (".ck", ".expect"):
+            (tmp_path / (name + suffix)).write_text((FIXTURES / (name + suffix)).read_text())
+    assert main(["verify", str(tmp_path), "--timings"]) == 0
+    times = [line.split() for line in capsys.readouterr().err.splitlines() if line.startswith("time  ")]
+    assert [(t[1], t[4:]) for t in times] == [
+        ("line5_scaled.ck", ["materialized"]), ("puzzle11_pattern.ck", ["profiles"]),
+    ]
 
 
 def test_verify_empty_dir(tmp_path):
@@ -251,8 +264,11 @@ def test_stability_refuses_a_cap_that_does_not_grow(capsys, growth):
 def test_stability_refuses_a_bound_with_no_growth(tmp_path, capsys):
     text = (FIXTURES / "puzzle9_two_consecutive.ck").read_text()
     (tmp_path / "flat.ck").write_text(text.replace("bound 20 growth 10", "bound 20 growth 0"))
-    assert main(["stability", str(tmp_path / "flat.ck")]) == 2
-    assert capsys.readouterr().out == ""
+    for command in ("run", "stability"):  # refused at the growth word, whatever the command
+        assert main([command, str(tmp_path / "flat.ck")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{tmp_path / 'flat.ck'}:") and "growth must be positive" in captured.err
 
 
 def test_stability_rejects_capless(capsys):

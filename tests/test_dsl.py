@@ -164,6 +164,10 @@ _DIAGNOSTICS = {
     "bound_on_uncapped": (
         _scenario(announce="  announce atleast red 1\n  bound 9 growth 3\n"), SemanticError,
         "5:3: atleast scenarios take no bound statement", 79),
+    "growth_positive": (
+        _scenario(values="", announce="  announce maxdiff 1\n  bound 9 growth 0\n",
+                  actual="  actual [ 1 2 2 ]\n"),
+        SemanticError, "4:11: growth must be positive", 61),
     "consecutive_needs_bound": (
         _scenario(values="", announce="  announce consecutive\n", actual="  actual [ 1 2 3 ]\n"),
         SemanticError, "3:12: consecutive scenarios need a bound statement", 41),

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from ckgames import engine, worlds
+from ckgames import engine, scenarios, worlds
 from ckgames.engine import (
     EngineError,
     Eventual,
@@ -366,9 +366,10 @@ def tables_per_split(monkeypatch, sc):
 
 
 def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
-    # full sight over 6 seats keeps the dihedral group, whose orbit on the
-    # seats is all of them: the first split builds one table, not six
-    sc = Scenario("q", tuple(f"a{i}" for i in range(6)), HatsAtLeast(R, 1, 2), Full(), Simultaneous(8),
+    # near-circle sight over 6 seats keeps the dihedral group, whose orbit on
+    # the seats is all of them: the first split builds one table, not six
+    # (full sight takes the profile path and builds none)
+    sc = Scenario("q", tuple(f"a{i}" for i in range(6)), HatsAtLeast(R, 1, 2), NearCircle(), Simultaneous(8),
                   (0, 0, 1, 0, 1, 1))
     assert tables_per_split(monkeypatch, sc)[0] == (0,)
     # a blind agent leaves the identity alone: one table per seat
@@ -387,7 +388,8 @@ def test_run_keeps_the_identity_where_the_group_costs_more_than_it_saves(monkeyp
     assert not any(engine._pays_for_a_group(engine.STREAM_THRESHOLD, n) for n in (2, 3))
     assert not engine._pays_for_a_group(15, 4) and engine._pays_for_a_group(63, 6)
     assert not engine._pays_for_a_group(64, 4) and engine._pays_for_a_group(65, 4)
-    small = Scenario("s", ("a", "b", "c"), HatsAtLeast(R, 1, 2), Full(), Simultaneous(8), (0, 1, 1))
+    # line sight on three seats keeps the reversal, which would build tables for seats 0 and 1
+    small = Scenario("s", ("a", "b", "c"), HatsAtLeast(R, 1, 2), NearLine(), Simultaneous(8), (0, 1, 1))
     assert tables_per_split(monkeypatch, small)[0] == (0, 1, 2)
 
 
@@ -450,8 +452,7 @@ def test_streamed_simultaneous_agrees():
 
 
 def test_profile_evaluator_agrees_with_engine():
-    # the exact-difference cells take profile_universe's window branch; every
-    # other class sorts the worlds its generator yields
+    # run_profiles' table against the world path's sweep rows, for every class
     families = [(MaxDiffExact(d, 4), n) for n in (3, 4) for d in (1, 2)] + [
         (HatsAtLeast(0, 1, 2), 5),
         (HatsAtLeast(0, 1, 2), 6),
@@ -473,6 +474,38 @@ def test_profile_evaluator_agrees_with_engine():
                 got = row.eventual[i]
                 expect = table[prof][v]
                 assert (got.round if got.kind == "learns" else None) == expect, (c, n, row.world)
+
+
+def test_full_sight_run_above_the_materialize_limit_never_generates():
+    # the criterion-11 (8, 4) cell with cap 33: 7,983,420 worlds, above both
+    # STREAM_THRESHOLD and MATERIALIZE_LIMIT, played over its 6,300 profiles
+    c = MaxDiffExact(4, 33)
+    sc = Scenario("c11", tuple(f"a{i}" for i in range(8)), c, Full(), Simultaneous(8),
+                  (1, 1, 2, 2, 2, 4, 4, 5))
+    assert c.count_worlds(8) > max(engine.STREAM_THRESHOLD, scenarios.MATERIALIZE_LIMIT)
+    with mock.patch.object(MaxDiffExact, "generate", side_effect=AssertionError("generate was called")):
+        assert engine.run_path(sc, sc.visibility()) == "profiles"
+        t = run(sc)
+    assert t.initial_size == c.count_worlds(8) == 7_983_420
+    firsts = run_profiles(profile_universe(c, 8), 8)[tuple(sorted(sc.actual))]
+    assert [e.round if e.kind == "learns" else None for e in t.eventual] == [firsts[v] for v in sc.actual]
+    sizes = [e.state_size for e in t.events]
+    assert all(0 < b <= a for a, b in zip([t.initial_size] + sizes, sizes))
+
+
+@pytest.mark.parametrize("sight, method", [(Full(), "profiles"), (NearLine(), "generate")])
+def test_an_actual_world_missing_from_the_universe_is_refused(sight, method):
+    # a constraint whose enumeration leaves out a world it accepts, on the
+    # profile path and on the world path
+    sc = Scenario("m", ("a", "b", "c"), HatsAtLeast(R, 1, 2), sight, Simultaneous(4), (R, B, B))
+    real = getattr(HatsAtLeast, method)
+
+    def missing(self, n):
+        return (w for w in real(self, n) if sorted(w) != sorted(sc.actual))
+
+    with mock.patch.object(HatsAtLeast, method, missing):
+        with pytest.raises(EngineError, match="actual world is not a member of the generated universe"):
+            run(sc)
 
 
 def test_yes_pattern():
