@@ -187,6 +187,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_stability(args) -> int:
     sc = _load(args.path)
+    if sc.actual is None:
+        print(f"error: {args.path} has a sweep marker; stability needs an actual world", file=sys.stderr)
+        return USAGE
     if not scenarios.needs_cap(sc.constraint):
         print("error: scenario takes no cap; stability does not apply", file=sys.stderr)
         return USAGE

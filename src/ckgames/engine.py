@@ -10,9 +10,8 @@ first-time YES), or at the horizon.
 "Never" is only asserted after a certified fixpoint; hitting the horizon
 without one yields "unknown".
 
-A run of a simultaneous game in which every seat sees every other reads its
-transcript off the value-profile evaluator instead (see run_path and
-_run_on_profiles); its rounds stop by the same rule.
+A run of a simultaneous game in which every seat sees every other plays the
+same loop over value profiles instead of worlds (see run_path and _ProfileCell).
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from .worlds import (
 )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     round: int
     turn: int
     agent: int
@@ -115,7 +113,7 @@ STREAM_THRESHOLD = 500_000
 
 
 class _Branch(NamedTuple):
-    state: object  # KnowledgeState, or _Lazy while too large to hold
+    state: object  # KnowledgeState, _Lazy while too large to hold, or _ProfileCell
     events: tuple[tuple, ...]  # Event fields as plain tuples
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
     stabilizer: tuple[int, ...]  # the elements of the seat group that map the cell onto itself
@@ -149,7 +147,7 @@ def _pays_for_a_group(size: int, n: int) -> bool:
     Only a held run on the world path asks, so the group it weighs serves
     simultaneous games in which some seat does not see every other (circle
     and line sight, most blind seatings).  Full-sight simultaneous runs take
-    the profile path and set up no group; sweeps always set it up.  The
+    the profile path under the identity; sweeps always set the group up.  The
     numbers below were measured on full- and circle-sight universes before
     full-sight runs left the world path.
 
@@ -212,6 +210,75 @@ class _Lazy:
         return announced, kept
 
 
+class _ProfileCell:
+    """The worlds of a full-sight simultaneous run that agree with its announcements so far,
+    held as sorted value profiles with their multiplicities; no world is generated.
+
+    Seat i's answer depends only on its own value and the world's profile, so
+    run_profiles' table gives every world's whole transcript: a seat says NO
+    before the first-YES round of its value and YES from then on.  After
+    round r a seat's class is that round if it is at most r, else "not yet",
+    and a world agrees with the actual one when each seat's value has the
+    class of the actual world's seat.  So a profile's worlds survive when its
+    values fill the seats of each class exactly, and then they number the
+    product over the classes of the multinomial of the profile's values in
+    the class.  With k_c seats in class c and m_v copies of value v, that is
+    (prod_c k_c!) / (prod_v m_v!).
+    """
+
+    def __init__(self, firsts: list, live: list, rnd: int, size: int):
+        self.firsts = firsts  # the actual world's first-YES round per seat, None for never
+        self.live = live  # (profile, its row of the table, prod_v m_v! or 0 while not worked out)
+        self.rnd = rnd  # the rounds played
+        self.size = size
+
+    @classmethod
+    def root(cls, scenario: scenarios.Scenario) -> "_ProfileCell":
+        n = scenario.n_agents
+        table = run_profiles(profile_universe(scenario.constraint, n), scenario.protocol.max_rounds)
+        firsts = table.get(tuple(sorted(scenario.actual)))
+        if firsts is None:
+            raise EngineError(_NOT_A_MEMBER)
+        live = [(prof, row, 0) for prof, row in table.items()]
+        return cls([firsts[v] for v in scenario.actual], live, 0, scenario.constraint.count_worlds(n))
+
+    def __len__(self) -> int:
+        return self.size
+
+    def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
+        """(the actual world's answers, the profiles giving the same answers) in the next round,
+        in which every seat speaks."""
+        rnd = self.rnd + 1
+        classes = [f if f is not None and f <= rnd else 0 for f in self.firsts]  # 0: not yet
+        wanted = sorted(classes)
+        live = [
+            (prof, row, repeats or _repeats(prof)) for prof, row, repeats in self.live
+            if sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]) == wanted
+        ]
+        seats = _repeats(wanted)  # prod_c k_c!
+        size = sum([seats // repeats for _, _, repeats in live])
+        return tuple([c != 0 for c in classes]), _ProfileCell(self.firsts, live, rnd, size)
+
+    def candidates(self) -> list[set[int]]:
+        """Each seat's values: those of its class in the surviving profiles."""
+        rnd = self.rnd
+        by_class: dict[int, set[int]] = {}
+        for prof, row, _ in self.live:
+            for v in prof:
+                f = row[v]
+                by_class.setdefault(f if f is not None and f <= rnd else 0, set()).add(v)
+        return [by_class[f if f is not None and f <= rnd else 0] for f in self.firsts]
+
+
+def _repeats(prof) -> int:
+    """The product of the factorials of the multiplicities of a sorted sequence's values."""
+    out = streak = 1
+    for a, b in zip(prof, prof[1:]):
+        streak = streak + 1 if a == b else 1
+        out *= streak
+    return out
+
+
 def _play(
     scenario: scenarios.Scenario, root, group: SeatGroup, actual: Optional[World] = None
 ) -> list[tuple[_Branch, Optional[int]]]:
@@ -226,11 +293,12 @@ def _play(
 
     `group` is a SeatGroup of the sight graph; `root`, a universe, is closed
     under every seat permutation (see scenarios), so under the group too.
-    Circular turns and streamed roots take the identity alone.  A branch's
-    stabilizer is its subgroup that maps the branch's state onto itself, and
-    each split of the state goes through it (see worlds.split).  A sweep
-    keeps one branch per orbit of cells; its `images` are the elements that
-    move it onto the cells it stands for (see sweep).
+    Circular turns, profile roots and streamed roots take the identity
+    alone.  A branch's stabilizer is its subgroup that maps the branch's
+    state onto itself, and each split of the state goes through it (see
+    worlds.split).  A sweep keeps one branch per orbit of cells; its
+    `images` are the elements that move it onto the cells it stands for
+    (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
@@ -276,14 +344,16 @@ def _children(
 ):
     """One child per part of the branch's state after `speakers` answer truthfully.
 
-    With an actual world, only the child holding it.  An element of the
-    branch's stabilizer moves each part onto the part with the moved answers,
-    so only the first part of each such class is kept; it stands for the rest
-    through one element per distinct moved answer vector.  The same symmetry
-    lets the split build tables for one seat per orbit (see worlds.split).
+    With an actual world, only the child holding it; a state that is not
+    held (a _Lazy or a _ProfileCell) narrows itself to that child.  An
+    element of the branch's stabilizer moves each part onto the part with
+    the moved answers, so only the first part of each such class is kept; it
+    stands for the rest through one element per distinct moved answer
+    vector.  The same symmetry lets the split build tables for one seat per
+    orbit (see worlds.split).
     """
-    lazy = isinstance(branch.state, _Lazy)
-    if lazy:
+    narrows = not isinstance(branch.state, KnowledgeState)
+    if narrows:
         parts = [branch.state.narrowed(speakers, group.vis, actual)]
     else:
         subgroup = group.subgroup(branch.stabilizer) if len(branch.state) > 1 else None  # one world needs none
@@ -298,7 +368,7 @@ def _children(
     for answers, worlds in parts:
         if answers in kept:
             continue
-        state = worlds if lazy else KnowledgeState(tuple(worlds))  # wrapped only once kept
+        state = worlds if narrows else KnowledgeState(tuple(worlds))  # wrapped only once kept
         cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
         stabilizer = []
         for h in branch.stabilizer:
@@ -347,20 +417,54 @@ def _classify(
 def run(scenario: scenarios.Scenario) -> Transcript:
     """Play the scenario's protocol to completion and return the transcript.
 
-    The path is the one run_path names.  A simultaneous game in which every
+    The root is the one run_path names.  A simultaneous game in which every
     seat sees every other is played over sorted value profiles with their
-    multiplicities (see _run_on_profiles) and never builds its universe.
-    Any other game is played over worlds (see _run_on_worlds): the universe
-    is held up to STREAM_THRESHOLD worlds and streamed above.
+    multiplicities (see _ProfileCell) and never builds its universe.  Any
+    other game is played over worlds: the universe is held up to
+    STREAM_THRESHOLD worlds and streamed above (see _Lazy).
+
+    A held universe of a simultaneous game is quotiented like a sweep (see
+    _sweep_group and worlds.split) once it is large enough to pay for the
+    set-up (see _pays_for_a_group): circle sight keeps the dihedral group
+    and line sight the reversal.  Circular turns, blind agents, profile
+    roots and streamed roots keep the identity alone.
     """
     scenario.validate()
-    if scenario.actual is None:
+    actual = scenario.actual
+    if actual is None:
         raise EngineError("scenario has a free actual world; use sweep instead")
+    n = scenario.n_agents
     vis = scenario.visibility()
     path = run_path(scenario, vis)
     if path == "profiles":
-        return _run_on_profiles(scenario)
-    return _run_on_worlds(scenario, vis, streamed=path == "streamed")
+        root = _ProfileCell.root(scenario)
+    elif path == "streamed":
+        root = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
+    else:
+        root = scenario.universe()
+        if actual not in root:
+            raise EngineError(_NOT_A_MEMBER)
+    quotient = path == "materialized" and _pays_for_a_group(len(root), n)
+    group = _sweep_group(scenario, vis) if quotient else SeatGroup(vis)
+    ((branch, stabilized),) = _play(scenario, root, group, actual)
+    state = branch.state
+    if isinstance(state, _ProfileCell):
+        seen = state.candidates()
+    else:
+        seen = [set() for _ in range(n)]
+        for w in state:
+            for values, v in zip(seen, w):
+                values.add(v)
+    return Transcript(
+        scenario=scenario.name,
+        agents=scenario.agents,
+        protocol="simultaneous" if isinstance(scenario.protocol, scenarios.Simultaneous) else "circular",
+        initial_size=len(root),
+        events=tuple(map(Event._make, branch.events)),
+        eventual=_classify(n, branch.first_yes, stabilized),
+        stabilized_at=stabilized,
+        final_candidates=tuple(tuple(sorted(values)) for values in seen),
+    )
 
 
 def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
@@ -379,118 +483,7 @@ def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
     return "materialized"
 
 
-def _run_on_worlds(scenario: scenarios.Scenario, vis: VisibilityGraph, streamed: bool) -> Transcript:
-    """run over world tuples, streamed or held as `streamed` says.
-
-    A held universe of a simultaneous game is quotiented like a sweep, by the
-    group of seat permutations generated by rotation by one seat and by
-    reversal, each kept only if it maps the sight graph onto itself (see
-    _sweep_group): circle sight keeps the dihedral group and line sight the
-    reversal.  Each split builds tables for one seat per orbit of the
-    permutations that fix the actual world's cell and, when those outnumber
-    the seats, answers one world per orbit of the cell's worlds.  Circular
-    turns, blind agents and universes too small to pay for the set-up (see
-    _pays_for_a_group) keep the identity alone.
-
-    A streamed universe is never held: each step makes a pass over the
-    generator until the state is small enough to materialize.  Such a run
-    keeps the identity alone.
-    """
-    actual = scenario.actual
-    n = scenario.n_agents
-    if streamed:
-        universe = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
-        group = SeatGroup(vis)
-    else:
-        universe = scenario.universe()
-        if actual not in universe:
-            raise EngineError(_NOT_A_MEMBER)
-        group = _sweep_group(scenario, vis) if _pays_for_a_group(len(universe), n) else SeatGroup(vis)
-    ((branch, stabilized),) = _play(scenario, universe, group, actual)
-    seen = [set() for _ in range(n)]
-    for w in branch.state:
-        for values, v in zip(seen, w):
-            values.add(v)
-    return Transcript(
-        scenario=scenario.name,
-        agents=scenario.agents,
-        protocol="simultaneous" if isinstance(scenario.protocol, scenarios.Simultaneous) else "circular",
-        initial_size=len(universe),
-        events=tuple(Event(*e) for e in branch.events),
-        eventual=_classify(n, branch.first_yes, stabilized),
-        stabilized_at=stabilized,
-        final_candidates=tuple(tuple(sorted(values)) for values in seen),
-    )
-
-
 _NOT_A_MEMBER = "actual world is not a member of the generated universe"
-
-
-def _run_on_profiles(scenario: scenarios.Scenario) -> Transcript:
-    """run for a simultaneous game in which every seat sees every other, over value profiles.
-
-    Seat i's answer depends only on its own value and the world's profile, so
-    run_profiles' table gives every world's whole transcript: seat i of the
-    actual world says NO before the first-YES round of its value and YES
-    from then on.  After round r a seat's class is that round if it is at
-    most r, else "not yet", and a world is still possible when each seat's
-    value has the class of the actual world's seat.  So a profile's worlds
-    survive when its values fill the seats of each class exactly, and then
-    they number the product over the classes of the multinomial of the
-    profile's values in the class.  With k_c seats in class c and m_v copies
-    of value v, that is (prod_c k_c!) / (prod_v m_v!).  Rounds stop by
-    _play's rule, and a seat's final candidates are the values of its class
-    in the surviving profiles.
-    """
-    n = scenario.n_agents
-    actual = scenario.actual
-    table = run_profiles(profile_universe(scenario.constraint, n), scenario.protocol.max_rounds)
-    firsts = table.get(tuple(sorted(actual)))
-    if firsts is None:
-        raise EngineError(_NOT_A_MEMBER)
-    seat_firsts = [firsts[v] for v in actual]
-    live = ((prof, row, 0) for prof, row in table.items())  # 0: prod_v m_v! not worked out yet
-    initial_size = size = scenario.constraint.count_worlds(n)
-    learners, events, stabilized = 0, [], None
-    for rnd in range(1, scenario.protocol.max_rounds + 1):
-        classes = [f if f is not None and f <= rnd else 0 for f in seat_firsts]  # 0: not yet
-        wanted = sorted(classes)
-        live = [
-            (prof, row, repeats or _repeats(prof)) for prof, row, repeats in live
-            if sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]) == wanted
-        ]
-        seats = _repeats(wanted)  # prod_c k_c!
-        before = size, learners
-        size = sum([seats // repeats for _, _, repeats in live])
-        learners = n - classes.count(0)
-        events += [Event(rnd, rnd, i, c != 0, size) for i, c in enumerate(classes)]
-        if learners == n or (size, learners) == before:
-            stabilized = rnd
-            break
-    candidates: dict[int, set[int]] = {}
-    for prof, row, _ in live:
-        for v in prof:
-            f = row[v]
-            candidates.setdefault(f if f is not None and f <= rnd else 0, set()).add(v)
-    return Transcript(
-        scenario=scenario.name,
-        agents=scenario.agents,
-        protocol="simultaneous",
-        initial_size=initial_size,
-        events=tuple(events),
-        eventual=_classify(n, {i: Eventual.learns(c, c) for i, c in enumerate(classes) if c}, stabilized),
-        stabilized_at=stabilized,
-        final_candidates=tuple(tuple(sorted(candidates[c])) for c in classes),
-    )
-
-
-def _repeats(prof) -> int:
-    """The product of the factorials of the multiplicities of a sorted sequence's values."""
-    out = streak = 1
-    for a, b in zip(prof, prof[1:]):
-        streak = streak + 1 if a == b else 1
-        out *= streak
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +611,10 @@ def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
 # sorted value profiles instead of world tuples, which turns millions of
 # worlds into a few hundred profiles: the counter abstraction of fully
 # symmetric systems (Emerson & Sistla 1996; Pnueli, Xu & Zuck 2002).  run
-# reads full-sight simultaneous transcripts off this table (see
-# _run_on_profiles), so run is no independent check of it.  The tests hold
-# it against the world path (_run_on_worlds and sweep, which share _play)
-# and against a knows_own replay.
+# plays full-sight simultaneous games over this table (see _ProfileCell),
+# so run is no independent check of it.  The tests hold it against the
+# same runs from a held or streamed universe, against sweep, and against a
+# knows_own replay.
 
 
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:

@@ -271,6 +271,14 @@ def test_stability_refuses_a_bound_with_no_growth(tmp_path, capsys):
         assert captured.err.startswith(f"{tmp_path / 'flat.ck'}:") and "growth must be positive" in captured.err
 
 
+def test_stability_refuses_a_sweep_marker(capsys):
+    path = SWEEPS / "consecutive4.ck"  # a capped family, so the marker is what is refused
+    assert main(["stability", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} has a sweep marker; stability needs an actual world\n"
+
+
 def test_stability_rejects_capless(capsys):
     assert main(["stability", str(FIXTURES / "sop_puzzle13_circular.ck")]) == 2
 

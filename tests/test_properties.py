@@ -349,12 +349,17 @@ def full_sight_families(draw):
 @settings(max_examples=30, deadline=None)
 @given(full_sight_families())
 def test_profile_path_matches_world_path(family):
-    # every world of the family, played over value profiles and over worlds
+    # every world of the family, played by run from each of its three roots:
+    # value profiles, the held universe and the streamed universe
     vis = family.visibility()
     for actual in gen_universe(family.constraint, family.n_agents):
         sc = dataclasses.replace(family, actual=actual)
         assert engine.run_path(sc, vis) == "profiles"
-        assert engine._run_on_profiles(sc) == engine._run_on_worlds(sc, vis, streamed=False), actual
+        played = []
+        for path in ("profiles", "materialized", "streamed"):
+            with mock.patch.object(engine, "run_path", lambda sc, vis: path):
+                played.append(run(sc))
+        assert played[0] == played[1] == played[2], actual
 
 
 @st.composite
