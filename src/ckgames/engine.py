@@ -16,6 +16,7 @@ same loop over value profiles instead of worlds (see run_path and _ProfileCell).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, replace
@@ -122,47 +123,26 @@ class _Branch(NamedTuple):
     images: Optional[list]
 
 
-def _sweep_group(scenario: scenarios.Scenario, vis: VisibilityGraph) -> SeatGroup:
-    """The seat permutations a simultaneous game may quotient by.
+@functools.cache
+def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
+    """The seat permutations a game over the sight graph `vis` may quotient by.
 
     Generated by rotation by one seat and by reversal (seat j to n-1-j), each
     kept only if it maps the sight graph onto itself: the dihedral group for
     circle and full sight, reversal alone for line sight, the identity alone
     for circular turns and blind agents.  Every universe is closed under
-    every seat permutation (see scenarios), so the sight graph decides.
+    every seat permutation (see scenarios), so the sight graph decides.  Each
+    (sight graph, protocol kind) gets one group for the life of the process,
+    with its split plans and subgroups built on first use.
     """
     n = vis.n_agents
     generators = []
-    if isinstance(scenario.protocol, scenarios.Simultaneous):
+    if simultaneous:
         # rotation and reversal are the same permutation of two seats
         for p in dict.fromkeys((tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1)))):
             if vis.maps_onto_itself(p):
                 generators.append(p)
     return SeatGroup(vis, generators)
-
-
-def _pays_for_a_group(size: int, n: int) -> bool:
-    """Whether a run over `size` worlds and n seats is worth setting its seat group up for.
-
-    Only a held run on the world path asks, so the group it weighs serves
-    simultaneous games in which some seat does not see every other (circle
-    and line sight, most blind seatings).  Full-sight simultaneous runs take
-    the profile path under the identity; sweeps always set the group up.  The
-    numbers below were measured on full- and circle-sight universes before
-    full-sight runs left the world path.
-
-    A split through the group builds at most n - 1 fewer tables than a plain
-    one, each a pass over the worlds.  Against that stand closing the group
-    of at most 2n elements and routing each seat through it, work on the
-    order of (2n)^2, and about two passes of the quotient's own: it looks
-    every world up among the answered ones and moves one world per orbit by
-    every element.  Measured against the identity (best of 40 runs of hat
-    and difference universes), the group pays from about 100 worlds on two
-    seats and 200 on three, where the rule never quotients; from about 70 to
-    100 on four and 40 to 50 on five or six, where it quotients from 65, 51
-    and 49; and from about 30 on eight or ten, where it waits for 52 and 58.
-    """
-    return size * (n - 3) > (2 * n) ** 2
 
 
 class _Lazy:
@@ -206,7 +186,7 @@ class _Lazy:
             worlds = list(itertools.islice(stream, STREAM_THRESHOLD + 1))
             kept.size = len(worlds) + sum(1 for _ in stream)
         if kept.size <= STREAM_THRESHOLD:
-            return announced, KnowledgeState.from_worlds(worlds)
+            return announced, KnowledgeState(tuple(worlds))  # streams yield strictly increasing worlds
         return announced, kept
 
 
@@ -292,13 +272,11 @@ def _play(
     of learners unchanged (a certified fixpoint).
 
     `group` is a SeatGroup of the sight graph; `root`, a universe, is closed
-    under every seat permutation (see scenarios), so under the group too.
-    Circular turns, profile roots and streamed roots take the identity
-    alone.  A branch's stabilizer is its subgroup that maps the branch's
-    state onto itself, and each split of the state goes through it (see
-    worlds.split).  A sweep keeps one branch per orbit of cells; its
-    `images` are the elements that move it onto the cells it stands for
-    (see sweep).
+    under every seat permutation (see scenarios), so under the group too.  A
+    branch's stabilizer is its subgroup that maps the branch's state onto
+    itself, and each split of the state goes through it (see worlds.split).
+    A sweep keeps one branch per orbit of cells; its `images` are the
+    elements that move it onto the cells it stands for (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
@@ -419,15 +397,10 @@ def run(scenario: scenarios.Scenario) -> Transcript:
 
     The root is the one run_path names.  A simultaneous game in which every
     seat sees every other is played over sorted value profiles with their
-    multiplicities (see _ProfileCell) and never builds its universe.  Any
-    other game is played over worlds: the universe is held up to
-    STREAM_THRESHOLD worlds and streamed above (see _Lazy).
-
-    A held universe of a simultaneous game is quotiented like a sweep (see
-    _sweep_group and worlds.split) once it is large enough to pay for the
-    set-up (see _pays_for_a_group): circle sight keeps the dihedral group
-    and line sight the reversal.  Circular turns, blind agents, profile
-    roots and streamed roots keep the identity alone.
+    multiplicities (see _ProfileCell), under the identity, and never builds
+    its universe.  Any other game is played over worlds, held up to
+    STREAM_THRESHOLD and streamed above (see _Lazy), and quotiented like a
+    sweep by _sweep_group.
     """
     scenario.validate()
     actual = scenario.actual
@@ -435,17 +408,21 @@ def run(scenario: scenarios.Scenario) -> Transcript:
         raise EngineError("scenario has a free actual world; use sweep instead")
     n = scenario.n_agents
     vis = scenario.visibility()
+    simultaneous = isinstance(scenario.protocol, scenarios.Simultaneous)
     path = run_path(scenario, vis)
     if path == "profiles":
-        root = _ProfileCell.root(scenario)
-    elif path == "streamed":
-        root = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
+        root, group = _ProfileCell.root(scenario), SeatGroup(vis)
     else:
-        root = scenario.universe()
-        if actual not in root:
+        if path == "streamed":
+            root = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
+        else:
+            root = scenario.universe()
+        # the universe is closed under seat permutations (see scenarios), so it holds the
+        # actual world exactly when it holds its sorted profile, the least of its permutations,
+        # which a stream in canonical order yields no later than the actual world
+        if tuple(sorted(actual)) not in root:
             raise EngineError(_NOT_A_MEMBER)
-    quotient = path == "materialized" and _pays_for_a_group(len(root), n)
-    group = _sweep_group(scenario, vis) if quotient else SeatGroup(vis)
+        group = _sweep_group(vis, simultaneous)
     ((branch, stabilized),) = _play(scenario, root, group, actual)
     state = branch.state
     if isinstance(state, _ProfileCell):
@@ -458,7 +435,7 @@ def run(scenario: scenarios.Scenario) -> Transcript:
     return Transcript(
         scenario=scenario.name,
         agents=scenario.agents,
-        protocol="simultaneous" if isinstance(scenario.protocol, scenarios.Simultaneous) else "circular",
+        protocol="simultaneous" if simultaneous else "circular",
         initial_size=len(root),
         events=tuple(map(Event._make, branch.events)),
         eventual=_classify(n, branch.first_yes, stabilized),
@@ -547,7 +524,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
     universe = scenario.universe()
-    group = _sweep_group(scenario, scenario.visibility())
+    group = _sweep_group(scenario.visibility(), isinstance(scenario.protocol, scenarios.Simultaneous))
     rows = []
     for branch, stabilized in _play(scenario, universe, group):
         eventual = _classify(n, branch.first_yes, stabilized)

@@ -212,7 +212,7 @@ def test_rotation_quotient_has_stabilizers_of_order_2_3_4():
         for n, constraint in PERIODIC:
             family = periodic(n, constraint, sight, Simultaneous(10))
             universe = family.universe()
-            group = engine._sweep_group(family, family.visibility())
+            group = engine._sweep_group(family.visibility(), True)
             for branch, _ in engine._play(family, universe, group=group):
                 perms = [group.perms[e] for e in branch.stabilizer]
                 turns = sum(all(p[i] == (p[0] + i) % n for i in range(n)) for p in perms)
@@ -232,7 +232,7 @@ def test_sweep_group_is_the_symmetry_of_sight_and_universe(sight, protocol, orde
     # circles and full sight keep the dihedral group of the 6 seats, line sight
     # the reversal alone; a blind agent and circular turns keep the identity
     family = periodic(6, HatsExactly(R, 2, 2), sight, protocol)
-    group = engine._sweep_group(family, family.visibility())
+    group = engine._sweep_group(family.visibility(), isinstance(protocol, Simultaneous))
     assert len(group.perms) == order and group.perms[0] == tuple(range(6))
     if order == 2:
         assert group.perms[1] == (5, 4, 3, 2, 1, 0)
@@ -375,22 +375,23 @@ def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
     # a blind agent leaves the identity alone: one table per seat
     blind = dataclasses.replace(sc, sight=Blind(frozenset({0})))
     assert tables_per_split(monkeypatch, blind)[0] == tuple(range(6))
-    # line sight keeps the reversal, whose seat orbits are {0, 5}, {1, 4}, {2, 3}
+    # line sight keeps the reversal, whose seat orbits are {0, 5}, {1, 4}, {2, 3},
+    # and on three seats {0, 2}, {1}
     line = dataclasses.replace(sc, sight=NearLine())
     assert tables_per_split(monkeypatch, line)[0] == (0, 1, 2)
-
-
-def test_run_keeps_the_identity_where_the_group_costs_more_than_it_saves(monkeypatch):
-    # on two or three seats a split saves no more table passes than the
-    # quotient's own bookkeeping costs; 15 worlds over 4 seats
-    # (zeroone_two_zeros) are too few to pay for the set-up, 63 over 6 seats
-    # are enough, and on four seats the group pays from 65 worlds
-    assert not any(engine._pays_for_a_group(engine.STREAM_THRESHOLD, n) for n in (2, 3))
-    assert not engine._pays_for_a_group(15, 4) and engine._pays_for_a_group(63, 6)
-    assert not engine._pays_for_a_group(64, 4) and engine._pays_for_a_group(65, 4)
-    # line sight on three seats keeps the reversal, which would build tables for seats 0 and 1
     small = Scenario("s", ("a", "b", "c"), HatsAtLeast(R, 1, 2), NearLine(), Simultaneous(8), (0, 1, 1))
-    assert tables_per_split(monkeypatch, small)[0] == (0, 1, 2)
+    assert tables_per_split(monkeypatch, small)[0] == (0, 1)
+
+
+def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():
+    # equal sight graphs drawn apart share one group, with its plans and subgroups
+    first, second = (scenarios.gen_visibility(FarCircle(), 7) for _ in range(2))
+    assert first is not second and first == second
+    assert engine._sweep_group(first, True) is engine._sweep_group(second, True)
+    assert engine._sweep_group(first, False) is engine._sweep_group(second, False)
+    # circular turns keep the identity alone, so their group is another object
+    dihedral, identity = engine._sweep_group(first, True), engine._sweep_group(first, False)
+    assert dihedral is not identity and len(dihedral.perms) == 14 and len(identity.perms) == 1
 
 
 def test_sweep_rejects_unknown_orbit():
@@ -493,17 +494,26 @@ def test_full_sight_run_above_the_materialize_limit_never_generates():
     assert all(0 < b <= a for a, b in zip([t.initial_size] + sizes, sizes))
 
 
-@pytest.mark.parametrize("sight, method", [(Full(), "profiles"), (NearLine(), "generate")])
-def test_an_actual_world_missing_from_the_universe_is_refused(sight, method):
-    # a constraint whose enumeration leaves out a world it accepts, on the
-    # profile path and on the world path
-    sc = Scenario("m", ("a", "b", "c"), HatsAtLeast(R, 1, 2), sight, Simultaneous(4), (R, B, B))
+@pytest.mark.parametrize("sight, protocol, path", [
+    (Full(), Simultaneous(4), "profiles"),
+    (NearLine(), Simultaneous(4), "materialized"),
+    (NearLine(), Simultaneous(4), "streamed"),
+    (NearLine(), Circular((0, 1, 2), 4), "streamed"),
+    (Full(), Circular((0, 1, 2), 4), "streamed"),
+], ids=["profiles", "held", "streamed-line", "streamed-line-circular", "streamed-full-circular"])
+def test_an_actual_world_missing_from_the_universe_is_refused(sight, protocol, path):
+    # a constraint whose enumeration leaves out a world it accepts, from each
+    # root run_path names; 7 worlds are streamed above a threshold of 2
+    sc = Scenario("m", ("a", "b", "c"), HatsAtLeast(R, 1, 2), sight, protocol, (R, B, B))
+    method = "profiles" if path == "profiles" else "generate"
     real = getattr(HatsAtLeast, method)
 
     def missing(self, n):
         return (w for w in real(self, n) if sorted(w) != sorted(sc.actual))
 
-    with mock.patch.object(HatsAtLeast, method, missing):
+    threshold = 2 if path == "streamed" else engine.STREAM_THRESHOLD
+    with mock.patch.object(HatsAtLeast, method, missing), mock.patch.object(engine, "STREAM_THRESHOLD", threshold):
+        assert engine.run_path(sc, sc.visibility()) == path
         with pytest.raises(EngineError, match="actual world is not a member of the generated universe"):
             run(sc)
 

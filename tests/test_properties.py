@@ -322,18 +322,13 @@ def replay(sc: Scenario):
 @settings(max_examples=40, deadline=None)
 @given(small_families().filter(lambda f: isinstance(f.protocol, Simultaneous)), st.data())
 def test_quotiented_run_matches_reference_replay(family, data):
-    # run() against a replay by knows_own and filter_simultaneous, both as it
-    # chooses the seat group and with the group set up for every universe;
-    # full-sight families take the profile path, which sets up no group
+    # run() against a replay by knows_own and filter_simultaneous; full-sight
+    # families take the profile path, which sets up no group
     worlds = list(gen_universe(family.constraint, family.n_agents))
     for actual in data.draw(st.lists(st.sampled_from(worlds), min_size=1, max_size=4, unique=True)):
         sc = dataclasses.replace(family, actual=actual)
-        expected = replay(sc)
         t = run(sc)
-        assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == expected, actual
-        with mock.patch.object(engine, "_pays_for_a_group", lambda size, n: True):
-            t = run(sc)
-        assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == expected, actual
+        assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == replay(sc), actual
 
 
 @st.composite
