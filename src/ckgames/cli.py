@@ -144,7 +144,8 @@ def cmd_verify(args) -> int:
                     problems = ["fixture has a sweep marker; verify needs an actual world"]
                 else:
                     transcript = engine.run(sc)
-                    mode = engine.run_path(sc, sc.visibility())
+                    if args.timings:
+                        mode = engine.run_path(sc, sc.visibility())
         except (dsl.ParseError, dsl.SemanticError) as e:
             problems = [f"parse error: {e}"]
         except (dsl.ReadError, worlds.ContractViolation, scenarios.GenerationError, engine.EngineError) as e:

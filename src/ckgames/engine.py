@@ -334,7 +334,7 @@ def _children(
     if narrows:
         parts = [branch.state.narrowed(speakers, group.vis, actual)]
     else:
-        subgroup = group.subgroup(branch.stabilizer) if len(branch.state) > 1 else None  # one world needs none
+        subgroup = group.subgroup(branch.stabilizer)
         parts = [
             (answers, worlds)
             for answers, worlds in split(branch.state, speakers, group.vis, subgroup).items()
@@ -506,8 +506,8 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     with the digest of its own moved announcements.  A cell that some
     permutations leave as it is (the universe always; with full sight, most
     big cells) is split with tables for one seat per orbit of those
-    permutations on the seats, and once per orbit of its worlds when the
-    permutations outnumber the seats (see worlds.split).
+    permutations on the seats, answering once per orbit of its worlds (see
+    worlds.split).
 
     A family with no world is refused with EngineError.
 

@@ -84,7 +84,6 @@ class KnowledgeState:
     """
 
     worlds: tuple[World, ...]
-    _members: frozenset[World] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_worlds(worlds) -> "KnowledgeState":
@@ -93,14 +92,8 @@ class KnowledgeState:
     def __len__(self) -> int:
         return len(self.worlds)
 
-    def members(self) -> frozenset[World]:
-        """The worlds as a set, built on first use and kept."""
-        if self._members is None:
-            object.__setattr__(self, "_members", frozenset(self.worlds))
-        return self._members
-
     def __contains__(self, world: World) -> bool:
-        return world in self.members()
+        return world in self.worlds
 
     def __iter__(self):
         return iter(self.worlds)
@@ -172,13 +165,8 @@ class SeatGroup:
     tables for the first seat r of each orbit of the group on the seats
     only: in `plan`, `route` holds per seat s the key function that reads
     r's observation in p(w) straight off w, and r's place among `firsts`.
-
-    A group with more elements than seats also answers one world per orbit
-    of worlds and gives the other members the answers moved by its acts.
-    Every element costs a move of the world and a dict entry, whether or not
-    it makes a new member, and in a small group that costs more than the
-    lookups per seat it saves; a group of at most as many elements as seats
-    answers every world through `route`, and its plan has no acts.
+    The split answers one world per orbit of worlds and gives the other
+    members the answers moved by the acts.
     """
 
     def __init__(self, vis: VisibilityGraph, generators: Iterable[Sequence[int]] = ()):
@@ -215,7 +203,7 @@ class SeatGroup:
 
     @cached_property
     def plan(self) -> tuple:
-        """split's set-up: (firsts, route, acts, or None for a group of at most as many elements as seats)."""
+        """split's set-up: (firsts, route)."""
         seats = range(self.vis.n_agents)
         firsts = []
         route = [None] * len(seats)
@@ -226,7 +214,7 @@ class SeatGroup:
                     if route[p[r]] is None:
                         route[p[r]] = (_key_fn(tuple([p[j] for j in observed])), len(firsts))
                 firsts.append(r)
-        return tuple(firsts), tuple(route), self.acts if len(self.perms) > len(seats) else None
+        return tuple(firsts), tuple(route)
 
     def subgroup(self, elements: tuple[int, ...]) -> "SeatGroup":
         """The subgroup of the elements numbered `elements`, ascending from 0, made once.
@@ -254,27 +242,23 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optiona
     (see scenarios), so under any SeatGroup.  For p in the group, agent i
     sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
     answers of w moved by p.  Tables are built for the first seat of each
-    orbit of the group on the seats.  A group with more elements than seats
-    answers each orbit of worlds once and gives its other members the moved
-    answers.  Without a group, or with the identity alone, every world is
-    answered from its own keys.
+    orbit of the group on the seats, and each orbit of worlds is answered
+    once; its other members get the moved answers.  Without a group, or
+    with the identity alone, every world is answered from its own keys.
     """
     if len(state) == 1:  # every key matches one world, so every speaker knows
         return {(YES,) * len(speakers): list(state)}
     if group is not None and group.vis is not vis and group.vis != vis:
         raise ContractViolation("the seat group was set up for another sight graph")
     if group is None or len(group.perms) == 1:
-        plan, acts = answer_tables(state, speakers, vis), None
+        tables = answer_tables(state, speakers, vis)
+        vectors = zip(*[[table[k][0] != MIXED for k in map(key, state)] for key, table in tables])
     else:
         if tuple(speakers) != tuple(range(vis.n_agents)):
             raise ContractViolation("a group split needs every agent in seat order")
-        firsts, route, acts = group.plan
+        firsts, route = group.plan
         tables = [table for _, table in answer_tables(state, firsts, vis)]
-        plan = [(key, tables[f]) for key, f in route]
-    if acts is None:
-        vectors = zip(*[[table[k][0] != MIXED for k in map(key, state)] for key, table in plan])
-    else:
-        vectors = _answers_per_orbit(state, plan, acts)
+        vectors = _answers_per_orbit(state, [(key, tables[f]) for key, f in route], group.acts)
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
         part = groups.get(answers)

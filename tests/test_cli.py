@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ckgames import engine
+from ckgames import engine, scenarios
 from ckgames.cli import main
 from ckgames.engine import EngineError
 from ckgames.scenarios import GenerationError
@@ -21,6 +21,26 @@ def test_run_text(capsys):
     out = capsys.readouterr().out
     assert "round" in out and "eventual:" in out
     assert "charlie=round3" in out
+
+
+def test_run_text_of_a_circular_protocol(capsys):
+    # one line per turn, then who learned when
+    assert main(["run", str(FIXTURES / "circular_red_last.ck")]) == 0
+    assert capsys.readouterr().out == """\
+scenario: circular-red-last
+protocol: circular   worlds: 15
+turn  round  speaker  answer  worlds
+1     1      kevin    NO      14
+2     1      armaan   NO      12
+3     1      bella    NO      8
+4     1      cory     YES     8
+5     2      kevin    NO      8
+6     2      armaan   NO      8
+7     2      bella    NO      8
+8     2      cory     YES     8
+eventual: kevin=never armaan=never bella=never cory=turn4
+stabilized after round 2
+"""
 
 
 def test_run_json_byte_identical(capsys):
@@ -211,6 +231,16 @@ def test_sweep_of_an_empty_universe_is_a_clean_refusal(tmp_path, capsys, orbit):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: no world satisfies the announcement" in captured.err
+
+
+def test_sweep_refuses_a_family_above_the_stream_threshold(capsys, monkeypatch):
+    # emperor10 has C(10, 3) = 120 worlds; the refusal comes from the count alone
+    monkeypatch.setattr(engine, "STREAM_THRESHOLD", 119)
+    monkeypatch.setattr(scenarios.Scenario, "universe", lambda self: pytest.fail("built a refused universe"))
+    assert main(["sweep", str(SWEEPS / "emperor10.ck")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family too large to sweep without streaming support\n"
 
 
 def test_sweep_emperor(capsys):

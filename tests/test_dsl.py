@@ -386,16 +386,46 @@ def test_every_expectation_diagnostic_keeps_its_text_and_span(case):
     assert err.value.span.offset == offset
 
 
+# each mismatch match_expectation reports, against the intro run: alice learns in
+# round 1, bob and charlie in round 2; rounds [YES NO NO; YES YES YES]; the final
+# values are red (0) for alice and blue (1) for bob and charlie
+_INTRO_MISMATCHES = {
+    "eventual: alice=round1 bob=round2\nrounds: [YES NO NO]": [],
+    "eventual: bob=round2+ charlie=round1+": [],
+    "eventual: alice=round2": ["alice: expected round == 2, got round 1"],
+    "rounds: [YES NO NO; YES NO YES]": ["round 2: expected YES NO YES, got YES YES YES"],
+    "rounds: [YES NO NO; YES YES YES; YES YES YES]": ["expected at least 3 rounds, got 2"],
+    "rounds: [YES NO]": ["round 1: pattern width 2 != 3 agents"],
+    "turns: [YES NO NO YES]": [],
+    "turns: [YES NO YES]": ["turns: expected prefix YES NO YES, got YES NO NO"],
+    "eventual: alice=never bob=unknown": [
+        "alice: expected never, got round 1 turn 1", "bob: expected unknown, got round 2 turn 2"],
+    "eventual: dora=round1 alice=round1": ["unknown agent 'dora' in expectation"],
+    "consistent: dora={1}": ["unknown agent 'dora' in expectation"],
+    "consistent: bob={green}": ["unknown value 'green' in expectation", "bob: consistent values expected [], got [1]"],
+    "consistent: bob={blue}\nconsistent: alice={red}": [],
+    "consistent: bob={red}": ["bob: consistent values expected [0], got [1]"],
+}
+
+
 def test_match_expectation():
     sc = parse(INTRO)
     t = run(sc)
-    good = parse_expected("eventual: alice=round1 bob=round2\nrounds: [YES NO NO]")
-    assert dsl.match_expectation(good, t, sc.alphabet) == []
-    wrong = parse_expected("eventual: alice=round2")
-    problems = dsl.match_expectation(wrong, t, sc.alphabet)
-    assert len(problems) == 1
-    at_least = parse_expected("eventual: bob=round2+ charlie=round1+")
-    assert dsl.match_expectation(at_least, t, sc.alphabet) == []
+    for text, problems in _INTRO_MISMATCHES.items():
+        assert dsl.match_expectation(parse_expected(text), t, sc.alphabet) == problems, text
+    # the other direction: a learner expected where the run says never or unknown
+    circular = dsl.parse_file(str(Path(__file__).resolve().parent.parent / "fixtures" / "circular_red_last.ck"))
+    assert dsl.match_expectation(parse_expected("eventual: kevin=turn1 cory=turn4"), run(circular)) == [
+        "kevin: expected turn 1, got never"
+    ]
+    short = run(parse(INTRO.replace("rounds 5", "rounds 1")))  # bob has not learned by the horizon
+    assert dsl.match_expectation(parse_expected("eventual: bob=round2 charlie=never"), short) == [
+        "bob: expected round 2, got unknown", "charlie: expected never, got unknown"
+    ]
+    # without the alphabet, a value name is not a value
+    assert dsl.match_expectation(parse_expected("consistent: alice={red}"), short) == [
+        "unknown value 'red' in expectation", "alice: consistent values expected [], got [0]"
+    ]
 
 
 def test_every_shipped_scenario_parses_and_is_consistent():

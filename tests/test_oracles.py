@@ -5,7 +5,7 @@ import pytest
 from ckgames import oracles
 from ckgames.engine import Eventual, run
 from ckgames.oracles import OracleError
-from ckgames.scenarios import Circular, Full, HatsAtLeast, Scenario, Simultaneous, SumOrProduct
+from ckgames.scenarios import Circular, ConsecutiveDistinct, Full, HatsAtLeast, Scenario, Simultaneous, SumOrProduct
 
 R, B = 0, 1
 
@@ -73,6 +73,26 @@ def test_consecutive_four_cases():
     assert oracles.consecutive_four_all_yes((3, 4, 2, 5), order)
     assert not oracles.consecutive_four_all_yes((3, 5, 2, 4), order)
     assert not oracles.consecutive_four_all_yes((2, 1, 3, 4), order)  # set {1,2,3,4}
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 2, 3, 0), (2, 3, 0, 1)])
+def test_consecutive_four_circular_matches_engine(order):
+    # everyone says YES in round 1 exactly where the oracle predicts it.  The
+    # worlds checked stay at least 4 below the cap: next to it, answers also
+    # reflect the values the cap leaves out (here worlds topped by 10 or 12 differ)
+    family = ConsecutiveDistinct(12)
+    worlds = [w for w in family.generate(4) if max(w) <= 8]
+    all_yes = 0
+    for w in worlds:
+        pred = oracles.predict_consecutive(w, "circular", order)
+        t = run(Scenario("c4", ("a", "b", "c", "d"), family, Full(), Circular(order, 8), w))
+        assert oracles.cross_check(pred, t) == [], w
+        everyone = all(t.answers_by_round()[0])
+        assert everyone == (pred.round1_yes is not None), w
+        all_yes += everyone
+    # the first speaker holds 1 over {0..3} (6 seatings), or holds 3 over {0..3}
+    # with 1 spoken before 0 (3), or holds 3 over {2..5} with 4 before 5 (3)
+    assert len(worlds) == 144 and all_yes == 6 + 3 + 3
 
 
 def test_d1_multiset_formula():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from ckgames import scenarios
 from ckgames.scenarios import (
     Blind,
     Circular,
@@ -129,6 +130,16 @@ def test_visibility_models_self_exclusive():
 def test_circle_needs_three():
     with pytest.raises(GenerationError):
         gen_visibility(NearCircle(), 2)
+
+
+def test_gen_universe_refuses_more_worlds_than_the_materialize_limit(monkeypatch):
+    # the limit is checked against the count, before any world is generated
+    monkeypatch.setattr(scenarios, "MATERIALIZE_LIMIT", 6)
+    monkeypatch.setattr(HatsAtLeast, "generate", lambda self, n: pytest.fail("generated a refused universe"))
+    with pytest.raises(GenerationError, match="universe has 7 worlds; use stream_worlds"):
+        gen_universe(HatsAtLeast(0, 1, 2), 3)
+    monkeypatch.setattr(scenarios, "MATERIALIZE_LIMIT", 7)
+    assert len(gen_universe(HatsExactly(0, 1, 2), 7)) == 7
 
 
 def test_stream_matches_generate():

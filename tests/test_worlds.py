@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from ckgames import worlds
 from ckgames.scenarios import (
     Blind,
     Full,
@@ -56,6 +57,16 @@ def test_observe_bad_agent_index():
     vis = gen_visibility(Full(), 3)
     with pytest.raises(ContractViolation):
         vis.observed(5)
+
+
+@pytest.mark.parametrize("sees,message", [
+    ((frozenset({1}), frozenset({1})), "agent 1 cannot see itself"),
+    ((frozenset({1}), frozenset({2})), "agent 1 sees out-of-range agent 2"),
+    ((frozenset({-1}), frozenset({0})), "agent 0 sees out-of-range agent -1"),
+])
+def test_visibility_graph_refuses_self_sight_and_unknown_seats(sees, message):
+    with pytest.raises(ContractViolation, match=message):
+        VisibilityGraph(sees)
 
 
 def test_knows_own_sees_two_blues():
@@ -230,3 +241,31 @@ def test_seat_group_refuses_a_step_that_breaks_the_sight_graph():
         (False, False, True, False): [(1, 1, 1, 0)],
     }
     assert split(state, range(4), vis, mirror) == split(state, range(4), vis) == expected
+
+
+def test_a_reversal_only_split_answers_per_orbit(monkeypatch):
+    # the reversal of a line of four seats makes a group of two elements, fewer
+    # than the seats; it still answers one world per orbit of worlds and moves
+    # the answers to the rest, while the identity answers every world itself
+    vis = gen_visibility(NearLine(), 4)
+    state = gen_universe(MaxDiffExact(1, 3), 4)
+    mirror = SeatGroup(vis, [(3, 2, 1, 0)])
+    calls = []
+    real = worlds._answers_per_orbit
+    monkeypatch.setattr(worlds, "_answers_per_orbit", lambda *args: calls.append(args[2]) or real(*args))
+    plain = split(state, range(4), vis)
+    assert calls == []
+    assert split(state, range(4), vis, SeatGroup(vis)) == plain and calls == []
+    assert split(state, range(4), vis, mirror) == plain and calls == [mirror.acts]
+    for answers, part in plain.items():
+        assert all(answer_vector(state, w, vis) == answers for w in part)
+
+
+def test_split_refuses_a_group_of_another_sight_graph():
+    line, circle = gen_visibility(NearLine(), 4), gen_visibility(NearCircle(), 4)
+    state = gen_universe(HatsExactly(0, 1, 2), 4)
+    mirror = SeatGroup(line, [(3, 2, 1, 0)])
+    assert split(state, range(4), gen_visibility(NearLine(), 4), mirror) == split(state, range(4), line)
+    for group in (mirror, SeatGroup(line)):
+        with pytest.raises(ContractViolation, match="set up for another sight graph"):
+            split(state, range(4), circle, group)
