@@ -10,8 +10,9 @@ first-time YES), or at the horizon.
 "Never" is only asserted after a certified fixpoint; hitting the horizon
 without one yields "unknown".
 
-A run of a simultaneous game in which every seat sees every other plays the
-same loop over value profiles instead of worlds (see run_path and _ProfileCell).
+A run or a sweep of a simultaneous game in which every seat sees every other
+plays the same loop over value profiles instead of worlds (see run_path and
+_ProfileCell); a sweep then reads each world's row off its profile's leaf.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
     Generated by rotation by one seat and by reversal (seat j to n-1-j), each
     kept only if it maps the sight graph onto itself: the dihedral group for
     circle and full sight, reversal alone for line sight, the identity alone
-    for circular turns and blind agents.  Every universe is closed under
+    for circular turns and blind agents (full-sight simultaneous games play
+    on profiles instead, see run_path).  Every universe is closed under
     every seat permutation (see scenarios), so the sight graph decides.  Each
     (sight graph, protocol kind) gets one group for the life of the process,
     with its split plans and subgroups built on first use.
@@ -164,7 +166,7 @@ class _Lazy:
         return scenarios.stream_worlds(self.constraint, self.n, self.predicates)
 
     def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
-        """(the actual world's answers, the worlds giving the same answers).
+        """[(the actual world's answers, the worlds giving the same answers)].
 
         The table pass answers the step.  One speaker's kept size is a sum of the
         table's counts; a simultaneous round counts in one more pass, keeping the
@@ -186,28 +188,37 @@ class _Lazy:
             worlds = list(itertools.islice(stream, STREAM_THRESHOLD + 1))
             kept.size = len(worlds) + sum(1 for _ in stream)
         if kept.size <= STREAM_THRESHOLD:
-            return announced, KnowledgeState(tuple(worlds))  # streams yield strictly increasing worlds
-        return announced, kept
+            return [(announced, KnowledgeState(tuple(worlds)))]  # streams yield strictly increasing worlds
+        return [(announced, kept)]
 
 
 class _ProfileCell:
-    """The worlds of a full-sight simultaneous run that agree with its announcements so far,
+    """The worlds of a full-sight simultaneous game that agree with a world's announcements so far,
     held as sorted value profiles with their multiplicities; no world is generated.
 
     Seat i's answer depends only on its own value and the world's profile, so
     run_profiles' table gives every world's whole transcript: a seat says NO
     before the first-YES round of its value and YES from then on.  After
     round r a seat's class is that round if it is at most r, else "not yet",
-    and a world agrees with the actual one when each seat's value has the
-    class of the actual world's seat.  So a profile's worlds survive when its
-    values fill the seats of each class exactly, and then they number the
-    product over the classes of the multinomial of the profile's values in
-    the class.  With k_c seats in class c and m_v copies of value v, that is
+    and a world agrees with another when each seat's value has the class of
+    the other world's seat.  So a profile's worlds survive when its values
+    fill the seats of each class exactly, and then they number the product
+    over the classes of the multinomial of the profile's values in the
+    class.  With k_c seats in class c and m_v copies of value v, that is
     (prod_c k_c!) / (prod_v m_v!).
+
+    The cell's size, and so the transcript, depends on the seats' classes
+    only as a sorted multiset.  A run narrows to the actual world's cell.  A
+    sweep splits each cell by the profiles' sorted classes, each part
+    standing for the cells of every seating of its classes (see
+    _profile_rows); a profile's classes sort one way only, so every profile
+    lies in one part.
     """
 
-    def __init__(self, firsts: list, live: list, rnd: int, size: int):
-        self.firsts = firsts  # the actual world's first-YES round per seat, None for never
+    def __init__(self, firsts: Optional[list], live: list, rnd: int, size: int):
+        # the first-YES round per seat, None for never: the actual world's in a run, and in
+        # a sweep the part's sorted classes, the learners' first (None while not learned)
+        self.firsts = firsts
         self.live = live  # (profile, its row of the table, prod_v m_v! or 0 while not worked out)
         self.rnd = rnd  # the rounds played
         self.size = size
@@ -216,28 +227,36 @@ class _ProfileCell:
     def root(cls, scenario: scenarios.Scenario) -> "_ProfileCell":
         n = scenario.n_agents
         table = run_profiles(profile_universe(scenario.constraint, n), scenario.protocol.max_rounds)
-        firsts = table.get(tuple(sorted(scenario.actual)))
-        if firsts is None:
-            raise EngineError(_NOT_A_MEMBER)
+        firsts = None
+        if scenario.actual is not None:
+            row = table.get(tuple(sorted(scenario.actual)))
+            if row is None:
+                raise EngineError(_NOT_A_MEMBER)
+            firsts = [row[v] for v in scenario.actual]
         live = [(prof, row, 0) for prof, row in table.items()]
-        return cls([firsts[v] for v in scenario.actual], live, 0, scenario.constraint.count_worlds(n))
+        return cls(firsts, live, 0, scenario.constraint.count_worlds(n))
 
     def __len__(self) -> int:
         return self.size
 
-    def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
-        """(the actual world's answers, the profiles giving the same answers) in the next round,
-        in which every seat speaks."""
+    def narrowed(self, speakers, vis: VisibilityGraph, actual: Optional[World]):
+        """[(answers, the profiles giving them)] in the next round, in which every seat speaks:
+        the actual world's part in a run, every part in a sweep."""
         rnd = self.rnd + 1
-        classes = [f if f is not None and f <= rnd else 0 for f in self.firsts]  # 0: not yet
-        wanted = sorted(classes)
-        live = [
-            (prof, row, repeats or _repeats(prof)) for prof, row, repeats in self.live
-            if sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]) == wanted
-        ]
-        seats = _repeats(wanted)  # prod_c k_c!
-        size = sum([seats // repeats for _, _, repeats in live])
-        return tuple([c != 0 for c in classes]), _ProfileCell(self.firsts, live, rnd, size)
+        wanted = None if actual is None else tuple(sorted([f if f is not None and f <= rnd else 0 for f in self.firsts]))
+        parts: dict[tuple[int, ...], list] = {}  # sorted classes, 0 for not yet -> live triples
+        for prof, row, repeats in self.live:
+            classes = tuple(sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]))
+            if wanted is None or classes == wanted:
+                parts.setdefault(classes, []).append((prof, row, repeats or _repeats(prof)))
+        out = []
+        for classes, live in parts.items():
+            firsts = self.firsts if actual is not None else [c for c in classes if c] + [None] * classes.count(0)
+            seats = _repeats(classes)  # prod_c k_c!
+            size = sum([seats // repeats for _, _, repeats in live])
+            answers = tuple([f is not None and f <= rnd for f in firsts])
+            out.append((answers, _ProfileCell(firsts, live, rnd, size)))
+        return out
 
     def candidates(self) -> list[set[int]]:
         """Each seat's values: those of its class in the surviving profiles."""
@@ -323,16 +342,16 @@ def _children(
     """One child per part of the branch's state after `speakers` answer truthfully.
 
     With an actual world, only the child holding it; a state that is not
-    held (a _Lazy or a _ProfileCell) narrows itself to that child.  An
+    held (a _Lazy or a _ProfileCell) narrows itself to its parts.  An
     element of the branch's stabilizer moves each part onto the part with
-    the moved answers, so only the first part of each such class is kept; it
-    stands for the rest through one element per distinct moved answer
-    vector.  The same symmetry lets the split build tables for one seat per
-    orbit (see worlds.split).
+    the moved answers.  So a sweep keeps only the first part of each such
+    class, which stands for the rest through one element per distinct moved
+    answer vector; a run needs only the stabilizer.  The same symmetry lets
+    the split build tables for one seat per orbit (see worlds.split).
     """
     narrows = not isinstance(branch.state, KnowledgeState)
     if narrows:
-        parts = [branch.state.narrowed(speakers, group.vis, actual)]
+        parts = branch.state.narrowed(speakers, group.vis, actual)
     else:
         subgroup = group.subgroup(branch.stabilizer)
         parts = [
@@ -347,14 +366,17 @@ def _children(
         if answers in kept:
             continue
         state = worlds if narrows else KnowledgeState(tuple(worlds))  # wrapped only once kept
-        cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
-        stabilizer = []
-        for h in branch.stabilizer:
-            moved = acts[h](answers)
-            cosets.setdefault(moved, h)
-            if moved == answers:
-                stabilizer.append(h)
-        kept.update(cosets)
+        if actual is not None:
+            stabilizer = [h for h in branch.stabilizer if acts[h](answers) == answers]
+        else:
+            cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
+            stabilizer = []
+            for h in branch.stabilizer:
+                moved = acts[h](answers)
+                cosets.setdefault(moved, h)
+                if moved == answers:
+                    stabilizer.append(h)
+            kept.update(cosets)
         first_yes = dict(branch.first_yes)
         for agent, answer in zip(speakers, answers):
             if answer:
@@ -494,20 +516,27 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     final state of the worlds inside it.  This is semantically identical to
     calling run() per world.
 
-    A simultaneous game is quotiented by the seat permutations that map its
-    sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996): the
-    group generated by rotation by one seat and by reversal, when they
+    A simultaneous game in which every seat sees every other (run_path's
+    "profiles") is refined over value profiles, one leaf per sorted class
+    multiset, and each world's row is read off its profile's leaf (see
+    _profile_rows).  Best of 40 on a 2-core VM, the 2,047 worlds of 11
+    hat-wearing seats took 17 ms this way against 32 ms from the world root;
+    the 86,464 worlds of MaxDiffExact(3, 34) on 6 seats over 20 rounds took
+    0.29 s against 1.8 s (best of 5).
+
+    Any other simultaneous game is quotiented by the seat permutations that
+    map its sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996):
+    the group generated by rotation by one seat and by reversal, when they
     qualify (see _sweep_group).  The universe is closed under every seat
     permutation (see scenarios), so the sight graph alone decides.  Circle
-    and full sight keep the dihedral group, line sight keeps reversal, and
-    circular turns and blind agents keep the identity alone.  One cell per
-    orbit is refined.  The rows of the other cells are the
-    representative's worlds and eventual tuple moved by a permutation, each
-    with the digest of its own moved announcements.  A cell that some
-    permutations leave as it is (the universe always; with full sight, most
-    big cells) is split with tables for one seat per orbit of those
-    permutations on the seats, answering once per orbit of its worlds (see
-    worlds.split).
+    sight keeps the dihedral group, line sight keeps reversal, and circular
+    turns and blind agents keep the identity alone.  One cell per orbit is
+    refined.  The rows of the other cells are the representative's worlds
+    and eventual tuple moved by a permutation, each with the digest of its
+    own moved announcements.  A cell that some permutations leave as it is
+    (the universe always) is split with tables for one seat per orbit of
+    those permutations on the seats, answering once per orbit of its worlds
+    (see worlds.split).
 
     A family with no world is refused with EngineError.
 
@@ -524,17 +553,21 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
     universe = scenario.universe()
-    group = _sweep_group(scenario.visibility(), isinstance(scenario.protocol, scenarios.Simultaneous))
-    rows = []
-    for branch, stabilized in _play(scenario, universe, group):
-        eventual = _classify(n, branch.first_yes, stabilized)
-        learns = tuple([agent in branch.first_yes for agent in range(n)])
-        for e, digest in branch.images:
-            move = group.acts[e]
-            moved, learners = move(eventual), frozenset(itertools.compress(range(n), move(learns)))
-            digest = digest.hexdigest()
-            rows += [SweepRow(move(w), moved, learners, digest) for w in branch.state]
-    rows.sort(key=itemgetter(0))  # by world
+    vis = scenario.visibility()
+    if run_path(scenario, vis) == "profiles":
+        rows = _profile_rows(scenario, universe, vis)
+    else:
+        group = _sweep_group(vis, isinstance(scenario.protocol, scenarios.Simultaneous))
+        rows = []
+        for branch, stabilized in _play(scenario, universe, group):
+            eventual = _classify(n, branch.first_yes, stabilized)
+            learns = tuple([agent in branch.first_yes for agent in range(n)])
+            for e, digest in branch.images:
+                move = group.acts[e]
+                moved, learners = move(eventual), frozenset(itertools.compress(range(n), move(learns)))
+                digest = digest.hexdigest()
+                rows += [SweepRow(move(w), moved, learners, digest) for w in branch.state]
+        rows.sort(key=itemgetter(0))  # by world
 
     if orbit == "rotation":
         grouped: dict[World, list[SweepRow]] = {}
@@ -553,6 +586,62 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
         rows = merged
 
     return SweepReport(scenario.name, scenario.agents, tuple(rows))
+
+
+def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: VisibilityGraph) -> list[SweepRow]:
+    """The sweep rows of a full-sight simultaneous family, in the order of `universe`, from a profile root.
+
+    _play refines the profile root under the identity, one branch per sorted
+    multiset of the seats' classes so far (see _ProfileCell), so its one stop
+    rule sets every leaf's state sizes and stop round.  Each profile lies in
+    one leaf.  A world's ordered classes
+    are its seats' first-YES rounds, read off its profile's row of the
+    table; its leaf's representative seats hold the same classes sorted, so
+    the world's eventual tuple is the representative's moved, and its
+    transcript says YES at seat i from the round of i's class on, with the
+    leaf's sizes.  A row's eventual tuple, learners and digest are made once
+    per distinct class vector.  The digest text of the rounds before the
+    first YES, in which every seat says NO, is hashed once per run of sizes.
+    """
+    n = scenario.n_agents
+    where = {}  # profile -> (its row of the table, its leaf's class -> Eventual, its leaf's sizes)
+    for branch, stabilized in _play(scenario, _ProfileCell.root(scenario), SeatGroup(vis)):
+        cell = branch.state
+        leaf = (dict(zip(cell.firsts, _classify(n, branch.first_yes, stabilized))),
+                tuple([size for *_, size in branch.events[::n]]))
+        for prof, row, _ in cell.live:
+            where[prof] = (row,) + leaf
+    # per round, its transcript_digest text with %s for each seat's answer and the round's size
+    templates = [None] + [
+        (b";" if rnd > 1 else b"") + ";".join([f"{rnd},{rnd},{i},%s" for i in range(n)]).encode("ascii")
+        for rnd in range(1, scenario.protocol.max_rounds + 1)
+    ]
+    silent = {}  # sizes of the rounds before any YES -> the running sha256 of their text
+    made = {}  # ordered class vector -> (eventual, learners, digest)
+    rows = []
+    for w in universe:
+        row, by_class, sizes = where[tuple(sorted(w))]
+        classes = tuple(map(row.__getitem__, w))
+        found = made.get(classes)
+        if found is None:  # the leaf played every round up to the last class (see _play's stop rule)
+            learned = [f for f in classes if f is not None]
+            quiet = sizes[:min(learned) - 1 if learned else len(sizes)]
+            digest = silent.get(quiet)
+            if digest is None:
+                digest = silent[quiet] = hashlib.sha256(b"".join([
+                    templates[rnd] % ((b"NO,%d" % size,) * n) for rnd, size in enumerate(quiet, 1)
+                ]))
+            digest = digest.copy()
+            for rnd in range(len(quiet) + 1, len(sizes) + 1):
+                yes, no = b"YES,%d" % sizes[rnd - 1], b"NO,%d" % sizes[rnd - 1]
+                digest.update(templates[rnd] % tuple([yes if f is not None and f <= rnd else no for f in classes]))
+            found = made[classes] = (
+                tuple(map(by_class.__getitem__, classes)),
+                frozenset([i for i, f in enumerate(classes) if f is not None]),
+                digest.hexdigest(),
+            )
+        rows.append(SweepRow(w, *found))
+    return rows
 
 
 def _min_rotation(w: World) -> World:
@@ -588,10 +677,10 @@ def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
 # sorted value profiles instead of world tuples, which turns millions of
 # worlds into a few hundred profiles: the counter abstraction of fully
 # symmetric systems (Emerson & Sistla 1996; Pnueli, Xu & Zuck 2002).  run
-# plays full-sight simultaneous games over this table (see _ProfileCell),
-# so run is no independent check of it.  The tests hold it against the
-# same runs from a held or streamed universe, against sweep, and against a
-# knows_own replay.
+# and sweep play full-sight simultaneous games over this table (see
+# _ProfileCell), so neither is an independent check of it.  The tests hold
+# it against the same runs from a held or streamed universe, against sweeps
+# from the world root, and against a knows_own replay.
 
 
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:
@@ -613,6 +702,11 @@ def run_profiles(
     of that observation group with no YES yet whose values seen have the same
     first-YES rounds.  A member alone in its class says YES.
 
+    A multiset is keyed by an integer: with the distinct values numbered
+    densely, value i weighs (n+1)^i, and no multiplicity reaches n+1, so
+    the sum of the weights tells multisets apart.  The holder of v observes
+    code(profile) - weight(v), with each profile's code worked out once.
+
     In round 1 no history is set yet, so a holder says YES exactly when its
     observation group has one member.  Histories that differ once stay
     different, so classes only split, and later rounds re-key only the groups
@@ -621,37 +715,39 @@ def run_profiles(
     no new YES changes no history, so every later round would be silent too
     and the refinement stops there.
     """
-    table = {prof: dict.fromkeys(prof) for prof in profiles}
-    groups: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
+    values = sorted({v for prof in profiles for v in prof})
+    base = max(map(len, profiles), default=0) + 1
+    weight = {v: base**i for i, v in enumerate(values)}
+    table = {}
+    groups: dict[int, list[tuple[int, dict, int]]] = {}  # observation code -> (value, row, profile code)
     for prof in profiles:
-        for obs, v in _observations(prof):
-            groups.setdefault(obs, []).append((v, prof))
+        row = table[prof] = dict.fromkeys(prof)
+        code = sum(map(weight.__getitem__, prof))
+        for v in row:
+            groups.setdefault(code - weight[v], []).append((v, row, code))
     yes = [members[0] for members in groups.values() if len(members) == 1]
-    seen_in: dict[tuple[int, ...], tuple[int, ...]] = {}
+    seen_in: dict[int, list[int]] = {}
     for rnd in range(1, max_rounds + 1):
         if rnd > 1:
-            touched = {obs for _, prof in yes for obs, _ in _observations(prof)}
+            touched = {code - weight[u] for _, row, code in yes for u in row}
             yes = []
             for obs in touched:
+                group = groups[obs]
                 seen = seen_in.get(obs)
-                if seen is None:
-                    seen = seen_in[obs] = tuple(dict.fromkeys(obs))
-                classes: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-                for v, prof in groups[obs]:
-                    row = table[prof]
+                if seen is None:  # a member's values, less its own unless the observation holds it too
+                    v, row, _ = group[0]
+                    seen = seen_in[obs] = [u for u in row if u != v or obs // weight[v] % base]
+                classes: dict[tuple, list[tuple[int, dict, int]]] = {}
+                for member in group:
+                    v, row, _ = member
                     if row[v] is None:
-                        classes.setdefault(tuple([row[u] for u in seen]), []).append((v, prof))
+                        classes.setdefault(tuple([row[u] for u in seen]), []).append(member)
                 yes += [members[0] for members in classes.values() if len(members) == 1]
         if not yes:
             break
-        for v, prof in yes:
-            table[prof][v] = rnd
+        for v, row, _ in yes:
+            row[v] = rnd
     return table
-
-
-def _observations(prof: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """(what the holder sees, value) for each distinct value of a sorted profile."""
-    return [(prof[:i] + prof[i + 1 :], v) for i, v in enumerate(prof) if i == 0 or prof[i - 1] != v]
 
 
 def yes_pattern(first_by_value: dict[int, Optional[int]], profile: tuple[int, ...]) -> tuple[int, ...]:

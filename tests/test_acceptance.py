@@ -1,17 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The streamed ten-person line fixture is marked slow; run it explicitly with
-`pytest -m slow`.
+The streamed ten-person line fixture and the world-root sweep of the
+criterion-11 family are marked slow; run them explicitly with `pytest -m slow`.
 """
 
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from ckgames import dsl, oracles
+from ckgames import dsl, engine, oracles
 from ckgames.cli import main as cli_main
 from ckgames.engine import (
     Eventual,
@@ -343,6 +344,19 @@ def test_criterion_11_puzzle_pattern_sweep():
         assert tuple(sum(1 for f in firsts if f == r) for r in range(1, 5)) == target
         assert stability_check(sc, 10)
     ok(11, "pattern sweep: published multiset found; one floor-forced companion recorded")
+
+
+@pytest.mark.slow
+def test_criterion_11_family_sweep_matches_world_root_slow():
+    # every world of the confirmation run's family as the actual world: the
+    # sweep plays on value profiles, and each row must be the world root's
+    family = Scenario("p11", agents(6), MaxDiffExact(3, 34), Full(), Simultaneous(20), None)
+    rows = sweep(family).rows
+    with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
+        expected = sweep(family).rows
+    assert len(rows) == len(expected) == 86_464
+    assert rows == expected
+    ok(11, "full-sight family sweep: 86,464 rows from profiles equal the world root's")
 
 
 # -- 12 ------------------------------------------------------------------------

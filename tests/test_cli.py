@@ -250,13 +250,16 @@ def test_sweep_emperor(capsys):
 
 
 # sha256 of the stdout of `ck sweep`, recorded before sweeps of rotation-symmetric
-# games refined one cell per rotation orbit; consecutive4 has orbits whose members
-# learn differently, so --orbit refuses it with exit 2 and prints nothing
+# games refined one cell per rotation orbit, and hats_sim7's before full-sight
+# simultaneous sweeps were played on value profiles; consecutive4 has orbits whose
+# members learn differently, so --orbit refuses it with exit 2 and prints nothing
 SWEEP_STDOUT = {
     ("consecutive4", False): (0, "f389fb6c3ad9bdfe03ac4c29ec4b94952087cda19cf9dfc18ca6ee092b353b37"),
     ("consecutive4", True): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("emperor10", False): (0, "ba104311b54aea46613798c723af3360972350bdb23cef48e9a19224e151097a"),
     ("emperor10", True): (0, "9a67035a9f8a7999de1e22fb4faa55493900230012946e4211ee52cb585986da"),
+    ("hats_sim7", False): (0, "26bbe91499b88d67a01ce0b463a80623bfd8baae460b6c1bca665bc7d7cba803"),
+    ("hats_sim7", True): (0, "f89bc41714c40f64a5596a1b5a1c439060cdf99261c1ec7d10ebdb099dcea770"),
 }
 
 

@@ -5,7 +5,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ckgames import dsl, engine
 from ckgames.engine import profile_universe, run, run_profiles, sweep, transcript_digest
@@ -280,9 +280,10 @@ def small_families(draw):
 def test_run_streamed_run_and_sweep_agree(family, data):
     # every world three ways: a materialized run, a run that starts on the
     # generator (a world budget below the universe size) and its sweep row.
-    # A full-sight simultaneous family takes the profile path both times, and
-    # its sweep rows come from the world path
-    report = sweep(family)
+    # A full-sight simultaneous family takes the profile path both times, so
+    # its sweep rows are taken from the world root
+    with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
+        report = sweep(family)
     budget = data.draw(st.integers(0, len(report.rows) - 1))
     for row in report.rows:
         sc = dataclasses.replace(family, actual=row.world)
@@ -355,6 +356,19 @@ def test_profile_path_matches_world_path(family):
             with mock.patch.object(engine, "run_path", lambda sc, vis: path):
                 played.append(run(sc))
         assert played[0] == played[1] == played[2], actual
+
+
+@settings(max_examples=30, deadline=None)
+@given(full_sight_families(), st.sampled_from([None, "rotation"]))
+def test_profile_sweep_matches_world_sweep(family, orbit):
+    # a full-sight simultaneous sweep plays on value profiles; every row,
+    # digest and orbit size included, must be the world root's
+    assert engine.run_path(family, family.visibility()) == "profiles"
+    with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
+        expected = sweep(family, orbit=orbit)
+    with mock.patch.object(engine, "_play", side_effect=engine._play) as played:
+        assert sweep(family, orbit=orbit) == expected
+    assert isinstance(played.call_args.args[1], engine._ProfileCell)
 
 
 @st.composite
@@ -506,12 +520,27 @@ def maxdiff_profiles(draw):
 
 @st.composite
 def any_profiles(draw):
-    """Any set of 0-40 sorted tuples of one length n in 1-5, values 0-4."""
+    """Any set of 0-40 sorted tuples of one length n in 1-5, values 0-4 or
+    from a gapped set, which run_profiles must number densely."""
     n = draw(st.integers(1, 5))
-    profile = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(lambda w: tuple(sorted(w)))
+    values = draw(st.sampled_from([st.integers(0, 4), st.sampled_from((0, 1, 7, 60, 719))]))
+    profile = st.lists(values, min_size=n, max_size=n).map(lambda w: tuple(sorted(w)))
     return frozenset(draw(st.lists(profile, max_size=40)))
 
 
-@given(st.one_of(maxdiff_profiles(), any_profiles()), st.integers(0, 8))
+@st.composite
+def class_profiles(draw):
+    """The profile universe of a small_constraints() member of any class."""
+    constraint, n = draw(small_constraints(draw(st.sampled_from(CONSTRAINT_CLASSES))))
+    try:
+        return profile_universe(constraint, n)
+    except GenerationError:
+        assume(False)
+
+
+# one value held n times (the largest multiplicity a weight must carry) and n = 1
+@example(frozenset({(719,) * 4, (0, 719, 719, 719), (0, 0, 7, 719)}), 5)
+@example(frozenset({(3,), (60,)}), 2)
+@given(st.one_of(maxdiff_profiles(), any_profiles(), class_profiles()), st.integers(0, 8))
 def test_profile_evaluator_matches_reference(profiles, max_rounds):
     assert run_profiles(profiles, max_rounds) == reference_run_profiles(profiles, max_rounds)
