@@ -27,6 +27,7 @@ from typing import Iterable, NamedTuple, Optional
 from . import scenarios
 from .worlds import (
     MIXED,
+    YES,
     KnowledgeState,
     SeatGroup,
     VisibilityGraph,
@@ -348,9 +349,15 @@ def _children(
     class, which stands for the rest through one element per distinct moved
     answer vector; a run needs only the stabilizer.  The same symmetry lets
     the split build tables for one seat per orbit (see worlds.split).
+
+    A step whose speakers have all said YES in the branch is not split: each
+    of them said it in every world of the branch, and a seat that knows its
+    value still knows it in every subset of the state, so the one child is
+    all YES and holds the branch's own state.
     """
-    narrows = not isinstance(branch.state, KnowledgeState)
-    if narrows:
+    if all([agent in branch.first_yes for agent in speakers]):
+        parts = [((YES,) * len(speakers), branch.state)]
+    elif not isinstance(branch.state, KnowledgeState):
         parts = branch.state.narrowed(speakers, group.vis, actual)
     else:
         subgroup = group.subgroup(branch.stabilizer)
@@ -365,7 +372,7 @@ def _children(
     for answers, worlds in parts:
         if answers in kept:
             continue
-        state = worlds if narrows else KnowledgeState(tuple(worlds))  # wrapped only once kept
+        state = KnowledgeState(tuple(worlds)) if isinstance(worlds, list) else worlds  # a split part, wrapped once kept
         if actual is not None:
             stabilizer = [h for h in branch.stabilizer if acts[h](answers) == answers]
         else:

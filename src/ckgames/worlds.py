@@ -129,8 +129,8 @@ def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> li
 
     A table maps each observation key to [the speaker's own value, or MIXED when
     it varies under that key, number of worlds with that key].  The speaker
-    knows its value exactly where the entry is not MIXED.  `worlds` may be any
-    iterable, including a lazily generated stream.
+    knows its value exactly where the entry is not MIXED.  `worlds` may be a
+    lazily generated stream; split uses own_table, which keeps no counts.
     """
     cols = [(agent, vis.keys[agent], {}) for agent in speakers]
     for w in worlds:
@@ -144,6 +144,16 @@ def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> li
                     entry[0] = MIXED
                 entry[1] += 1
     return [(key, table) for _, key, table in cols]
+
+
+def own_table(keys: Iterable, state: Sequence[World], agent: int) -> dict:
+    """Each of `keys`, the observation keys of the held `state`'s worlds in order, to `agent`'s value or MIXED."""
+    table: dict = {}
+    for k, w in zip(keys, state):
+        own = w[agent]
+        if table.setdefault(k, own) != own:
+            table[k] = MIXED
+    return table
 
 
 def answers_in(tables: list, world: World) -> tuple[bool, ...]:
@@ -244,20 +254,25 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optiona
     answers of w moved by p.  Tables are built for the first seat of each
     orbit of the group on the seats, and each orbit of worlds is answered
     once; its other members get the moved answers.  Without a group, or
-    with the identity alone, every world is answered from its own keys.
+    with the identity alone, each world is answered off its keys, computed once.
     """
-    if len(state) == 1:  # every key matches one world, so every speaker knows
-        return {(YES,) * len(speakers): list(state)}
     if group is not None and group.vis is not vis and group.vis != vis:
         raise ContractViolation("the seat group was set up for another sight graph")
-    if group is None or len(group.perms) == 1:
-        tables = answer_tables(state, speakers, vis)
-        vectors = zip(*[[table[k][0] != MIXED for k in map(key, state)] for key, table in tables])
+    plain = group is None or len(group.perms) == 1
+    if not plain and tuple(speakers) != tuple(range(vis.n_agents)):
+        raise ContractViolation("a group split needs every agent in seat order")
+    if len(state) == 1:  # every key matches one world, so every speaker knows
+        return {(YES,) * len(speakers): list(state)}
+    if plain:
+        columns = []
+        for agent in speakers:  # one speaker's keys held at a time
+            keys = list(map(vis.keys[agent], state))
+            table = own_table(keys, state, agent)
+            columns.append([table[k] != MIXED for k in keys])
+        vectors = zip(*columns)
     else:
-        if tuple(speakers) != tuple(range(vis.n_agents)):
-            raise ContractViolation("a group split needs every agent in seat order")
         firsts, route = group.plan
-        tables = [table for _, table in answer_tables(state, firsts, vis)]
+        tables = [own_table(map(vis.keys[r], state), state, r) for r in firsts]  # keys not held, for peak memory
         vectors = _answers_per_orbit(state, [(key, tables[f]) for key, f in route], group.acts)
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
@@ -277,7 +292,7 @@ def _answers_per_orbit(state, plan, acts):
     for w in state:
         answers = answered.get(w)
         if answers is None:
-            answers = tuple([table[key(w)][0] != MIXED for key, table in plan])
+            answers = tuple([table[key(w)] != MIXED for key, table in plan])
             moved = images.get(answers)
             if moved is None:
                 moved = images[answers] = [act(answers) for act in acts]

@@ -352,15 +352,20 @@ def test_rotation_quotient_splits_fewer_cells(monkeypatch):
 
 
 def tables_per_split(monkeypatch, sc):
-    """The speakers each answer_tables call of run(sc) builds tables for, in order."""
+    """The seats that each split of run(sc) builds own_table tables for, in order."""
     calls = []
-    real = worlds.answer_tables
+    real_split, real_table = engine.split, worlds.own_table
 
-    def counted(state, speakers, vis):
-        calls.append(tuple(speakers))
-        return real(state, speakers, vis)
+    def split(*args):
+        calls.append(())
+        return real_split(*args)
 
-    monkeypatch.setattr(worlds, "answer_tables", counted)
+    def counted(keys, state, agent):
+        calls[-1] += (agent,)
+        return real_table(keys, state, agent)
+
+    monkeypatch.setattr(engine, "split", split)
+    monkeypatch.setattr(worlds, "own_table", counted)
     run(sc)
     return calls
 
@@ -381,6 +386,62 @@ def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
     assert tables_per_split(monkeypatch, line)[0] == (0, 1, 2)
     small = Scenario("s", ("a", "b", "c"), HatsAtLeast(R, 1, 2), NearLine(), Simultaneous(8), (0, 1, 1))
     assert tables_per_split(monkeypatch, small)[0] == (0, 1)
+
+
+def replay_turns(sc):
+    """The events of a circular run, answered by knows_own and filtered by filter_turn."""
+    n, vis = sc.n_agents, sc.visibility()
+    state = scenarios.gen_universe(sc.constraint, n)
+    events, learners = [], set()
+    for rnd in range(1, sc.protocol.max_rounds + 1):
+        size, known = len(state), len(learners)
+        said = []
+        for pos, agent in enumerate(sc.protocol.order):
+            answer = worlds.knows_own(agent, sc.actual, state, vis)
+            state = worlds.filter_turn(state, agent, answer, vis)
+            said.append(engine.Event(rnd, (rnd - 1) * n + pos + 1, agent, answer, len(state)))
+            if answer:
+                learners.add(agent)
+        events += said
+        if all(e.answer for e in said) or (len(state) == size and len(learners) == known):
+            break
+    return tuple(events)
+
+
+def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
+    # the blind seat 0 learns in round 2, seats 2 and 3 in round 1, and all
+    # three speak again: a step whose speaker has said YES builds no table,
+    # held or streamed, and the run still gives the reference's transcript
+    sc = Scenario("b", tuple("abcd"), HatsAtLeast(R, 1, 2), Blind(frozenset({0})), Circular((0, 1, 2, 3), 6),
+                  (B, R, R, B))
+    t = run(sc)
+    assert t.events == replay_turns(sc)
+    asked, learned = [], set()
+    for e in t.events:
+        if e.agent not in learned:
+            asked.append((e.agent,))
+        if e.answer:
+            learned.add(e.agent)
+    assert asked == [(0,), (1,), (2,), (3,), (0,), (1,), (1,)] and len(t.events) == 12
+    skipped = []  # per step after its speaker's YES: whether its one child holds the branch's state
+    real_children = engine._children
+
+    def children(branch, speakers, *args):
+        out = list(real_children(branch, speakers, *args))
+        if all(agent in branch.first_yes for agent in speakers):
+            skipped.append(len(out) == 1 and out[0].state is branch.state)
+        return out
+
+    monkeypatch.setattr(engine, "_children", children)
+    assert tables_per_split(monkeypatch, sc) == asked
+    assert skipped == [True] * 5
+    calls = []
+    real = worlds.answer_tables
+    monkeypatch.setattr(engine, "answer_tables", lambda state, speakers, vis: calls.append(tuple(speakers))
+                        or real(state, speakers, vis))
+    with mock.patch.object(engine, "STREAM_THRESHOLD", 0):  # every state stays a stream
+        assert run(sc).events == t.events
+    assert calls == asked
 
 
 def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():

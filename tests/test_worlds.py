@@ -269,3 +269,31 @@ def test_split_refuses_a_group_of_another_sight_graph():
     for group in (mirror, SeatGroup(line)):
         with pytest.raises(ContractViolation, match="set up for another sight graph"):
             split(state, range(4), circle, group)
+    # a one-world state, whose every speaker knows, is checked all the same
+    with pytest.raises(ContractViolation, match="set up for another sight graph"):
+        split(KnowledgeState(((0, 1, 1),)), range(3), gen_visibility(Full(), 3), mirror)
+    with pytest.raises(ContractViolation, match="every agent in seat order"):
+        split(KnowledgeState(((0, 1, 1, 1),)), (3, 2, 1, 0), line, mirror)
+    assert split(KnowledgeState(((0, 1, 1, 1),)), (3, 2), line) == {(True, True): [(0, 1, 1, 1)]}
+
+
+def test_a_plain_split_computes_each_key_once():
+    # one pass per speaker computes each world's observation key, and the
+    # answers are read back off the same keys
+    vis = gen_visibility(NearCircle(), 5)
+    state = gen_universe(HatsAtLeast(R, 1, 2), 5)
+    calls = [0] * 5
+
+    def counting(agent, key):
+        def counted(w):
+            calls[agent] += 1
+            return key(w)
+        return counted
+
+    object.__setattr__(vis, "keys", tuple(counting(i, key) for i, key in enumerate(vis.keys)))
+    for speakers, group in [((2,), None), ((4, 1), None), (range(5), SeatGroup(vis))]:
+        calls[:] = [0] * 5
+        parts = split(state, speakers, vis, group)
+        assert calls == [len(state) if i in speakers else 0 for i in range(5)]
+        for answers, part in parts.items():
+            assert all(tuple(knows_own(a, w, state, vis) for a in speakers) == answers for w in part)
