@@ -130,7 +130,8 @@ def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> li
     A table maps each observation key to [the speaker's own value, or MIXED when
     it varies under that key, number of worlds with that key].  The speaker
     knows its value exactly where the entry is not MIXED.  `worlds` may be a
-    lazily generated stream; split uses own_table, which keeps no counts.
+    lazily generated stream; only engine._Lazy.narrowed reads a count, and
+    held states split through own_table, which keeps none.
     """
     cols = [(agent, vis.keys[agent], {}) for agent in speakers]
     for w in worlds:
@@ -197,13 +198,10 @@ class SeatGroup:
                 if q not in known:
                     known.add(q)
                     perms.append(q)
-        # the identity acts as `tuple`, which also takes a circular step's one answer
-        self._hold(vis, tuple(perms), (tuple,) + tuple([itemgetter(*p) for p in perms[1:]]))
-
-    def _hold(self, vis: VisibilityGraph, perms: tuple[tuple[int, ...], ...], acts: tuple) -> None:
         self.vis = vis
-        self.perms = perms
-        self.acts = acts
+        self.perms = tuple(perms)
+        # the identity acts as `tuple`, which also takes a circular step's one answer
+        self.acts = (tuple,) + tuple([itemgetter(*p) for p in perms[1:]])
         self._subgroups: dict[tuple[int, ...], SeatGroup] = {}
 
     @cached_property
@@ -227,16 +225,12 @@ class SeatGroup:
         return tuple(firsts), tuple(route)
 
     def subgroup(self, elements: tuple[int, ...]) -> "SeatGroup":
-        """The subgroup of the elements numbered `elements`, ascending from 0, made once.
-
-        Its elements are checked and closed already, so it takes them and their acts as they are.
-        """
+        """The subgroup generated by the elements numbered `elements`, made once."""
         if len(elements) == len(self.perms):
             return self
         sub = self._subgroups.get(elements)
         if sub is None:
-            sub = self._subgroups[elements] = object.__new__(SeatGroup)
-            sub._hold(self.vis, tuple([self.perms[e] for e in elements]), tuple([self.acts[e] for e in elements]))
+            sub = self._subgroups[elements] = SeatGroup(self.vis, [self.perms[e] for e in elements])
         return sub
 
 
@@ -301,12 +295,11 @@ def _answers_per_orbit(state, plan, acts):
 
 
 def answers_for_all(state: KnowledgeState, vis: VisibilityGraph) -> dict[World, tuple[bool, ...]]:
-    """Hypothetical answer vector of every world in the state, in one grouping pass.
+    """Hypothetical answer vector of every world in the state, read off one plain split.
 
     Equivalent to calling knows_own per agent per world but O(|state| * N).
     """
-    tables = answer_tables(state, range(vis.n_agents), vis)
-    return {w: answers_in(tables, w) for w in state}
+    return {w: answers for answers, part in split(state, range(vis.n_agents), vis).items() for w in part}
 
 
 def answer_vector(state: KnowledgeState, world: World, vis: VisibilityGraph) -> tuple[bool, ...]:

@@ -159,6 +159,37 @@ def test_verify_timings_name_the_path_of_each_run(tmp_path, capsys):
     ]
 
 
+def test_verify_isolates_fixtures_that_fail_to_parse(tmp_path, capsys):
+    ck, expect = ((FIXTURES / f"intro_one_red{suffix}").read_text() for suffix in (".ck", ".expect"))
+    fixtures = {
+        "a_syntax": (ck.replace("announce atleast red 1", "announce atleast red 1 {"), expect),
+        "b_semantic": (ck.replace("values { red blue }", "values { red blue red }"), expect),
+        "c_expect": (ck, expect.splitlines()[0] + "\nbogus: 3\n"),
+        "d_good": (ck, expect),
+    }
+    for name, (scenario, expectation) in fixtures.items():
+        (tmp_path / f"{name}.ck").write_text(scenario)
+        (tmp_path / f"{name}.expect").write_text(expectation)
+    assert main(["verify", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "FAIL  a_syntax.ck\nFAIL  b_semantic.ck\nFAIL  c_expect.ck\nPASS  d_good.ck\n1/4 fixtures passed\n"
+    )
+    assert captured.err.splitlines() == [
+        "      parse error: 5:26: expected one of {agents, values, announce, sight, actual, sweep, protocol, bound},"
+        " found '{'",
+        "      parse error: 4:12: color names must be unique",
+        "      parse error: 2:1: unknown expectation key 'bogus'",
+    ]
+
+
+def test_verify_refuses_a_file(capsys):
+    path = FIXTURES / "intro_one_red.ck"
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path} is not a directory\n"
+
+
 def test_verify_empty_dir(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
 
@@ -320,3 +351,9 @@ def test_max_rounds_override(capsys):
     assert main(["run", str(FIXTURES / "intro_two_reds.ck"), "--max-rounds", "1"]) == 0
     out = capsys.readouterr().out
     assert "horizon reached" in out
+
+
+def test_a_horizon_of_no_rounds_is_refused(capsys):
+    assert main(["run", str(FIXTURES / "intro_two_reds.ck"), "--max-rounds", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: max_rounds must be positive\n"

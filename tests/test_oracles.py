@@ -5,7 +5,9 @@ import pytest
 from ckgames import oracles
 from ckgames.engine import Eventual, run
 from ckgames.oracles import OracleError
-from ckgames.scenarios import Circular, ConsecutiveDistinct, Full, HatsAtLeast, Scenario, Simultaneous, SumOrProduct
+from ckgames.scenarios import (
+    Circular, ConsecutiveDistinct, Full, HatsAtLeast, HatsExactly, NearCircle, Scenario, Simultaneous, SumOrProduct,
+)
 
 R, B = 0, 1
 
@@ -174,3 +176,20 @@ def test_cross_check_round1_set():
     assert oracles.cross_check(pred, t) == []
     pred2 = oracles.OraclePrediction(label="r1", round1_yes=frozenset({1}))
     assert len(oracles.cross_check(pred2, t)) == 1
+
+
+def test_cross_check_learners_and_unpredicted_agents():
+    # near-sighted circle of 6, red at seat 2: everyone learns but the second and last sages
+    world = (B, R, B, B, B, B)
+    t = run(Scenario("x", tuple("abcdef"), HatsExactly(R, 1, 2), NearCircle(), Circular(tuple(range(6)), 16),
+                     world))
+    good = oracles.predict_ns_circular(6, 2)
+    assert oracles.cross_check(good, t) == []
+    wrong = oracles.OraclePrediction(label="ns", learners=frozenset({0, 2, 3}))
+    assert oracles.cross_check(wrong, t) == ["ns: learners expected [0, 2, 3], engine says [0, 2, 3, 4]"]
+    # a None outcome predicts nothing for its agent, so only seat a's wrong outcome is reported
+    outcomes = (Eventual.learns(9, 9),) + (None,) * 5
+    assert oracles.cross_check(oracles.OraclePrediction(label="ns", outcomes=outcomes), t) == [
+        "ns: a expected learns(round 9, turn 9), engine says learns(round 1, turn 1)"
+    ]
+    assert oracles.cross_check(oracles.OraclePrediction(label="ns", outcomes=(None,) * 6), t) == []

@@ -178,3 +178,21 @@ def test_scenario_validation():
 def test_circular_order_must_be_permutation():
     with pytest.raises(GenerationError):
         Circular((0, 0, 1), 5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_visibility(Full(), 1), "need at least 2 agents"),
+    (lambda: gen_visibility(Blind((0, 3)), 3), r"blind agent index out of range: \[3\]"),
+    (lambda: gen_visibility(Blind((-1,)), 3), r"blind agent index out of range: \[-1\]"),
+    (lambda: gen_visibility(FarCircle(), 2), "a circle needs at least 3 agents"),
+    (lambda: gen_visibility("everyone", 3), "unknown sight model 'everyone'"),
+    (lambda: gen_universe(HatsAtLeast(0, 1, 2), 1), "need at least 2 agents"),
+    (lambda: Scenario("x", ("a", "b"), MaxDiffExact(1, 9), Full(), Simultaneous(5), (2, 3, 4)).validate(),
+     "actual world length does not match agent count"),
+    (lambda: Simultaneous(0), "max_rounds must be positive"),
+    (lambda: Circular((0, 1), 0), "max_rounds must be positive"),
+], ids=["one-seat-sight", "blind-above", "blind-below", "two-seat-far-circle", "unknown-sight",
+        "one-seat-universe", "actual-length", "simultaneous-rounds", "circular-rounds"])
+def test_refusals_only_the_python_api_reaches(build, message):
+    with pytest.raises(GenerationError, match=f"^{message}$"):
+        build()
