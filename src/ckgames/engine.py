@@ -35,7 +35,7 @@ from .worlds import (
     answer_str,
     answer_tables,
     answers_in,
-    split,
+    partition,
 )
 
 
@@ -294,7 +294,7 @@ def _play(
     `group` is a SeatGroup of the sight graph; `root`, a universe, is closed
     under every seat permutation (see scenarios), so under the group too.  A
     branch's stabilizer is its subgroup that maps the branch's state onto
-    itself, and each split of the state goes through it (see worlds.split).
+    itself, and each split of the state goes through it (see worlds.partition).
     A sweep keeps one branch per orbit of cells; its `images` are the
     elements that move it onto the cells it stands for (see sweep).
     """
@@ -350,35 +350,36 @@ def _children(
     the moved answers.  So a sweep keeps only the first part of each such
     class, which stands for the rest through one element per distinct moved
     answer vector; a run needs only the stabilizer.  The same symmetry lets
-    the split build tables for one seat per orbit (see worlds.split).
+    the split build tables for one seat per orbit (see worlds.partition).
 
     A step whose speakers have all said YES in the branch is not split: each
     of them said it in every world of the branch, and a seat that knows its
     value still knows it in every subset of the state, so the one child is
-    all YES and holds the branch's own state.
+    all YES and holds the branch's own state.  A split part, once kept, is
+    held with the codes its state handed on (see worlds.partition), so a
+    state is encoded once for all the states below it.
 
     A sweep extends each image's running digest one step at a time, as sibling
     cells share the hashed prefix: 5,462 step texts on 15 far-sighted seats
     with 5 red hats, where hashing at the leaves would format 6,692.
     """
+    codes = None  # a split's parts' codes
     if all([agent in branch.first_yes for agent in speakers]):
         parts = [((YES,) * len(speakers), branch.state)]
     elif not isinstance(branch.state, KnowledgeState):
         parts = branch.state.narrowed(speakers, group.vis, actual)
     else:
         subgroup = group.subgroup(branch.stabilizer)
-        parts = [
-            (answers, worlds)
-            for answers, worlds in split(branch.state, speakers, group.vis, subgroup).items()
-            if actual is None or actual in worlds
-        ]
+        split_parts, codes = partition(branch.state, speakers, group.vis, subgroup)
+        parts = [(answers, worlds) for answers, worlds in split_parts.items() if actual is None or actual in worlds]
     learned = Eventual.learns(rnd, turn)
     acts = group.acts
     kept = set()
-    for answers, worlds in parts:
+    for answers, state in parts:
         if answers in kept:
             continue
-        state = KnowledgeState(tuple(worlds)) if isinstance(worlds, list) else worlds  # a split part, wrapped once kept
+        if isinstance(state, list):  # a split part, wrapped with its codes once kept
+            state = KnowledgeState(tuple(state), codes and codes[answers])
         if actual is not None:
             stabilizer = [h for h in branch.stabilizer if acts[h](answers) == answers]
         else:
@@ -549,7 +550,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     own moved announcements.  A cell that some permutations leave as it is
     (the universe always) is split with tables for one seat per orbit of
     those permutations on the seats, answering once per orbit of its worlds
-    (see worlds.split).
+    (see worlds.partition).
 
     A family with no world is refused with EngineError.
 
@@ -572,14 +573,21 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     else:
         group = _sweep_group(vis, isinstance(scenario.protocol, scenarios.Simultaneous))
         rows = []
+        learners_of: dict[tuple[bool, ...], frozenset[int]] = {}  # each moved learns vector -> its learners
+        repeat = itertools.repeat
         for branch, stabilized in _play(scenario, universe, group):
             eventual = _classify(n, branch.first_yes, stabilized)
             learns = tuple([agent in branch.first_yes for agent in range(n)])
             for e, digest in branch.images:
                 move = group.acts[e]
-                moved, learners = move(eventual), frozenset(itertools.compress(range(n), move(learns)))
-                digest = digest.hexdigest()
-                rows += [SweepRow(move(w), moved, learners, digest) for w in branch.state]
+                moved = move(learns)
+                learners = learners_of.get(moved)
+                if learners is None:
+                    learners = learners_of[moved] = frozenset(itertools.compress(range(n), moved))
+                # tuple.__new__ makes each row without SweepRow's Python-level __new__; the last field is orbit_size
+                fields = zip(map(move, branch.state), repeat(move(eventual)), repeat(learners),
+                             repeat(digest.hexdigest()), repeat(1))
+                rows += map(tuple.__new__, repeat(SweepRow), fields)
         rows.sort(key=itemgetter(0))  # by world
 
     if orbit == "rotation":

@@ -5,13 +5,21 @@ A world is a tuple of small non-negative integers, one value per agent
 still consistent with everything publicly announced so far.  Filtering a
 state on an announcement keeps exactly the worlds in which that announcement
 would have been made.
+
+The announcement kernel, partition (split keeps its worlds alone), answers a
+speaker who sees only some seats through a table of its observation keys, and
+a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
+off the state's worlds packed into integers (see encode).
 """
 
 from __future__ import annotations
 
+import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+from functools import cache, cached_property
+from itertools import compress, repeat, starmap
+from operator import and_, eq, itemgetter, not_
 from typing import Callable, Iterable, Optional, Sequence
 
 World = tuple[int, ...]
@@ -57,6 +65,11 @@ class VisibilityGraph:
     def n_agents(self) -> int:
         return len(self.sees)
 
+    @cached_property
+    def full_sight(self) -> frozenset[int]:
+        """The agents who see every other agent."""
+        return frozenset([i for i, seen in enumerate(self.sees) if len(seen) == len(self.sees) - 1])
+
     def observed(self, agent: int) -> tuple[int, ...]:
         """Sorted tuple of agents observed by `agent` (stable observation key order)."""
         if not 0 <= agent < len(self.sees):
@@ -84,6 +97,9 @@ class KnowledgeState:
     """
 
     worlds: tuple[World, ...]
+    # encode(worlds), made when a speaker who sees every other seat first speaks and
+    # handed on to the parts of each split (see partition)
+    codes: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_worlds(worlds) -> "KnowledgeState":
@@ -97,6 +113,12 @@ class KnowledgeState:
 
     def __iter__(self):
         return iter(self.worlds)
+
+    def coded(self) -> Optional[tuple]:
+        """The state's codes, encoded on first use; None while its values do not fit (see encode)."""
+        if self.codes is None:
+            object.__setattr__(self, "codes", encode(self.worlds))
+        return self.codes
 
 
 def knows_own(agent: int, world: World, state: KnowledgeState, vis: VisibilityGraph) -> bool:
@@ -130,8 +152,10 @@ def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> li
     A table maps each observation key to [the speaker's own value, or MIXED when
     it varies under that key, number of worlds with that key].  The speaker
     knows its value exactly where the entry is not MIXED.  `worlds` may be a
-    lazily generated stream; only engine._Lazy.narrowed reads a count, and
-    held states split through own_table, which keeps none.
+    lazily generated stream, and only engine._Lazy.narrowed reads a count.
+    Held states split through partition instead, which keeps no count: it
+    answers a speaker who sees every other seat off the state's codes, and
+    any other through own_table.
     """
     cols = [(agent, vis.keys[agent], {}) for agent in speakers]
     for w in worlds:
@@ -160,6 +184,57 @@ def own_table(keys: Iterable, state: Sequence[World], agent: int) -> dict:
 def answers_in(tables: list, world: World) -> tuple[bool, ...]:
     """The speakers' truthful answers in `world`, from answer_tables."""
     return tuple([table[key(world)][0] != MIXED for key, table in tables])
+
+
+# the fewest worlds a state must hold to be answered off codes.  A coded column costs
+# a half to two thirds of a table of tuple keys per world, but encoding costs about as
+# much again and each call pays a fixed cost, so a small state, or a run's chain of
+# states (one part kept a step), can lose: with codes from 16 worlds on, runs of
+# full-sight circular games of 2-5 seats and 30-240 worlds took up to 18% longer, and
+# from 256 on none did, while sweeps of 12 seats (4,095 worlds) still took half the time
+CODED_FROM = 256
+
+
+def encode(worlds: Sequence[World]) -> Optional[tuple]:
+    """(masks, codes) for a non-empty sequence of worlds of one length n, or None.
+
+    Each world is packed into one int: seat i's value fills the i-th of n
+    fixed-width unsigned fields, seat 0 highest, each of the first of 1, 2,
+    4 and 8 bytes that holds every value.  masks[i] clears seat i's field,
+    so code & masks[i] is what a seat i who sees every other seat observes.
+    None when a value is negative or needs more than 64 bits.
+    """
+    n = len(worlds[0])
+    for fmt in "BHIQ":  # a pack that fails part-way costs less than a pass for the largest value
+        pack, masks = _packing(n, fmt)
+        try:
+            return masks, list(map(int.from_bytes, starmap(pack, worlds), repeat("big")))
+        except struct.error:
+            pass
+    return None
+
+
+@cache
+def _packing(n: int, fmt: str) -> tuple:
+    """(the pack function of n big-endian fields of format fmt, the n masks clearing one field each)."""
+    packer = struct.Struct(f">{n}{fmt}")
+    bits = packer.size // n * 8
+    whole = (1 << bits * n) - 1
+    return packer.pack, tuple([whole ^ ((1 << bits) - 1) << bits * (n - 1 - i) for i in range(n)])
+
+
+def coded_column(coded: tuple, agent: int) -> list[bool]:
+    """Whether `agent`, who sees every other seat, knows its value in each world of a state with codes `coded`.
+
+    Two worlds look the same to such an agent exactly when they differ at
+    its own seat alone, so the worlds of a state (all distinct) that share
+    one key code & masks[agent] each hold a different own value.  The agent
+    knows its value exactly where its key occurs once.
+    """
+    masks, codes = coded
+    keys = list(map(and_, codes, repeat(masks[agent])))
+    counts = Counter(keys)
+    return list(map(eq, map(counts.__getitem__, keys), repeat(1)))
 
 
 class SeatGroup:
@@ -198,10 +273,13 @@ class SeatGroup:
                 if q not in known:
                     known.add(q)
                     perms.append(q)
-        self.vis = vis
-        self.perms = tuple(perms)
         # the identity acts as `tuple`, which also takes a circular step's one answer
-        self.acts = (tuple,) + tuple([itemgetter(*p) for p in perms[1:]])
+        self._hold(vis, tuple(perms), (tuple,) + tuple([itemgetter(*p) for p in perms[1:]]))
+
+    def _hold(self, vis: VisibilityGraph, perms: tuple[tuple[int, ...], ...], acts: tuple) -> None:
+        self.vis = vis
+        self.perms = perms
+        self.acts = acts
         self._subgroups: dict[tuple[int, ...], SeatGroup] = {}
 
     @cached_property
@@ -225,12 +303,17 @@ class SeatGroup:
         return tuple(firsts), tuple(route)
 
     def subgroup(self, elements: tuple[int, ...]) -> "SeatGroup":
-        """The subgroup generated by the elements numbered `elements`, made once."""
+        """The subgroup of the elements numbered `elements`, ascending from 0, made once.
+
+        A stabilizer's elements are checked and closed already, so it takes
+        them and their acts as they are, with no composition to close them.
+        """
         if len(elements) == len(self.perms):
             return self
         sub = self._subgroups.get(elements)
         if sub is None:
-            sub = self._subgroups[elements] = SeatGroup(self.vis, [self.perms[e] for e in elements])
+            sub = self._subgroups[elements] = object.__new__(SeatGroup)
+            sub._hold(self.vis, tuple([self.perms[e] for e in elements]), tuple([self.acts[e] for e in elements]))
         return sub
 
 
@@ -238,7 +321,13 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optiona
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
-    it, each list in the order of `state`.
+    it, each list in the order of `state`; see partition.
+    """
+    return partition(state, speakers, vis, group)[0]
+
+
+def partition(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None) -> tuple:
+    """(split's parts, each answer tuple to its part's codes), or (parts, None) when the parts carry no codes.
 
     A `group` is a SeatGroup of `vis` under which `state` is closed, and it
     needs every agent to speak, in seat order.  A universe built by
@@ -247,8 +336,18 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optiona
     sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
     answers of w moved by p.  Tables are built for the first seat of each
     orbit of the group on the seats, and each orbit of worlds is answered
-    once; its other members get the moved answers.  Without a group, or
-    with the identity alone, each world is answered off its keys, computed once.
+    once; its other members get the moved answers.  Parts of a group split
+    carry no codes.
+
+    Without a group, or with the identity alone, a speaker who sees only
+    some seats is answered off a table of its observation keys, each key
+    computed once (own_table).  So is every speaker in a state of fewer
+    than CODED_FROM worlds.  In a held KnowledgeState of at least that many,
+    a speaker who sees every other seat is answered off the state's codes,
+    encoded the first time such a speaker speaks (see coded_column).  The
+    codes of a state that has them are handed on to its parts, so no state
+    below it is encoded again.  A one-speaker step cuts its two parts out
+    with itertools.compress.
     """
     if group is not None and group.vis is not vis and group.vis != vis:
         raise ContractViolation("the seat group was set up for another sight graph")
@@ -256,18 +355,53 @@ def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optiona
     if not plain and tuple(speakers) != tuple(range(vis.n_agents)):
         raise ContractViolation("a group split needs every agent in seat order")
     if len(state) == 1:  # every key matches one world, so every speaker knows
-        return {(YES,) * len(speakers): list(state)}
-    if plain:
-        columns = []
-        for agent in speakers:  # one speaker's keys held at a time
+        return {(YES,) * len(speakers): list(state)}, None
+    if not plain:
+        firsts, route = group.plan
+        tables = [own_table(map(vis.keys[r], state), state, r) for r in firsts]  # keys not held, for peak memory
+        return _grouped(state, _answers_per_orbit(state, [(key, tables[f]) for key, f in route], group.acts)), None
+    coded = None
+    if len(state) >= CODED_FROM and isinstance(state, KnowledgeState):
+        coded = state.codes
+        if coded is None and not vis.full_sight.isdisjoint(speakers):
+            coded = state.coded()
+    columns = []
+    for agent in speakers:  # one speaker's keys held at a time
+        if coded and agent in vis.full_sight:
+            columns.append(coded_column(coded, agent))
+        else:
             keys = list(map(vis.keys[agent], state))
             table = own_table(keys, state, agent)
             columns.append([table[k] != MIXED for k in keys])
-        vectors = zip(*columns)
-    else:
-        firsts, route = group.plan
-        tables = [own_table(map(vis.keys[r], state), state, r) for r in firsts]  # keys not held, for peak memory
-        vectors = _answers_per_orbit(state, [(key, tables[f]) for key, f in route], group.acts)
+    if len(columns) == 1:
+        (said,) = columns
+        if said.count(said[0]) == len(said):  # no world told apart
+            return {(said[0],): list(state)}, coded and {(said[0],): coded}
+        parts = {(YES,): list(compress(state, said)), (NO,): list(compress(state, map(not_, said)))}
+        if not coded:
+            return parts, None
+        masks, codes = coded
+        return parts, {(YES,): (masks, list(compress(codes, said))), (NO,): (masks, list(compress(codes, map(not_, said))))}
+    if not coded:
+        return _grouped(state, zip(*columns)), None
+    vectors = list(zip(*columns))
+    if vectors.count(vectors[0]) == len(vectors):  # no world told apart
+        return {vectors[0]: list(state)}, {vectors[0]: coded}
+    masks, codes = coded
+    parts, coded_parts = {}, {}
+    for w, code, answers in zip(state, codes, vectors):
+        part = parts.get(answers)
+        if part is None:
+            parts[answers] = [w]
+            coded_parts[answers] = [code]
+        else:
+            part.append(w)
+            coded_parts[answers].append(code)
+    return parts, {answers: (masks, codes) for answers, codes in coded_parts.items()}
+
+
+def _grouped(state: Iterable[World], vectors: Iterable) -> dict:
+    """Each answer vector to the list of its worlds, both in the order of `state`."""
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
         part = groups.get(answers)

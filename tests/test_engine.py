@@ -344,28 +344,39 @@ def test_sweep_rows_of_symmetric_families_are_pinned(n, constraint, sight):
 
 def test_rotation_quotient_splits_fewer_cells(monkeypatch):
     calls = []
-    real = engine.split
-    monkeypatch.setattr(engine, "split", lambda *args: calls.append(1) or real(*args))
+    real = engine.partition
+    monkeypatch.setattr(engine, "partition", lambda *args: calls.append(1) or real(*args))
     report = sweep(periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8)))
     # 64 distinct transcripts; rotations alone took 12 splits, rotations and reflections 11
     assert len({r.digest for r in report.rows}) == 64 and len(calls) == 11
 
 
-def tables_per_split(monkeypatch, sc):
-    """The seats that each split of run(sc) builds own_table tables for, in order."""
+def tables_per_split(monkeypatch, sc, coded_seats=None):
+    """The seats that each split of run(sc) builds a column for, in order: an own_table
+    table for a seat that sees only some seats, a coded_column for one that sees every
+    other.  Every state of two worlds or more is answered off codes where it can be, and
+    `coded_seats`, when given, collects the seats of the coded columns."""
     calls = []
-    real_split, real_table = engine.split, worlds.own_table
+    real_partition, real_table, real_column = engine.partition, worlds.own_table, worlds.coded_column
 
-    def split(*args):
+    def partition(*args):
         calls.append(())
-        return real_split(*args)
+        return real_partition(*args)
 
     def counted(keys, state, agent):
         calls[-1] += (agent,)
         return real_table(keys, state, agent)
 
-    monkeypatch.setattr(engine, "split", split)
+    def coded(codes, agent):
+        calls[-1] += (agent,)
+        if coded_seats is not None:
+            coded_seats.append(agent)
+        return real_column(codes, agent)
+
+    monkeypatch.setattr(engine, "partition", partition)
     monkeypatch.setattr(worlds, "own_table", counted)
+    monkeypatch.setattr(worlds, "coded_column", coded)
+    monkeypatch.setattr(worlds, "CODED_FROM", 2)
     run(sc)
     return calls
 
@@ -377,9 +388,12 @@ def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
     sc = Scenario("q", tuple(f"a{i}" for i in range(6)), HatsAtLeast(R, 1, 2), NearCircle(), Simultaneous(8),
                   (0, 0, 1, 0, 1, 1))
     assert tables_per_split(monkeypatch, sc)[0] == (0,)
-    # a blind agent leaves the identity alone: one table per seat
+    # a blind agent leaves the identity alone: one column per seat, a table for
+    # the blind seat 0 and a coded column for each seat that sees every other
     blind = dataclasses.replace(sc, sight=Blind(frozenset({0})))
-    assert tables_per_split(monkeypatch, blind)[0] == tuple(range(6))
+    coded_seats = []
+    assert tables_per_split(monkeypatch, blind, coded_seats)[0] == tuple(range(6))
+    assert coded_seats[:5] == [1, 2, 3, 4, 5] and 0 not in coded_seats
     # line sight keeps the reversal, whose seat orbits are {0, 5}, {1, 4}, {2, 3},
     # and on three seats {0, 2}, {1}
     line = dataclasses.replace(sc, sight=NearLine())
@@ -410,8 +424,9 @@ def replay_turns(sc):
 
 def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
     # the blind seat 0 learns in round 2, seats 2 and 3 in round 1, and all
-    # three speak again: a step whose speaker has said YES builds no table,
-    # held or streamed, and the run still gives the reference's transcript
+    # three speak again: a step whose speaker has said YES builds no column
+    # (held: a table for seat 0, coded columns for the others) and no streamed
+    # table, and the run still gives the reference's transcript
     sc = Scenario("b", tuple("abcd"), HatsAtLeast(R, 1, 2), Blind(frozenset({0})), Circular((0, 1, 2, 3), 6),
                   (B, R, R, B))
     t = run(sc)

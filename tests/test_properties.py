@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ckgames import dsl, engine
+from ckgames import dsl, engine, worlds
 from ckgames.engine import profile_universe, run, run_profiles, sweep, transcript_digest
 from ckgames.scenarios import (
     Blind,
@@ -39,6 +39,7 @@ from ckgames.worlds import (
     filter_simultaneous,
     filter_turn,
     knows_own,
+    partition,
     split,
 )
 
@@ -88,15 +89,48 @@ def test_yes_permanence(case):
         assert knows_own(i, actual, smaller, vis)
 
 
-@given(world_states(), st.data())
-def test_split_matches_reference(case, data):
-    state, _, vis = case
-    speakers = data.draw(st.lists(st.sampled_from(range(vis.n_agents)), min_size=1, unique=True))
+@st.composite
+def wide_states(draw):
+    """(a state of up to 60 worlds, its sight) whose values may need wide fields.
+
+    The values are drawn from around one byte (256), two bytes (65,536),
+    four bytes and eight bytes (2**64, which no field holds), so that the
+    packed codes take every field width, and a part may hold only values
+    narrower than its state's.  Each seat sees every other seat or a drawn set.
+    """
+    n = draw(st.integers(2, 5))
+    alphabet = sorted(draw(st.sets(st.sampled_from([0, 1, 255, 256, 65_535, 65_536, 2**32, 2**64 - 1, 2**64]),
+                                   min_size=2, max_size=3)))
+    found = draw(st.sets(st.tuples(*[st.sampled_from(alphabet)] * n), min_size=1, max_size=60))
+    sees = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        sees.append(frozenset(others) if draw(st.booleans()) else draw(st.sets(st.sampled_from(others))))
+    return KnowledgeState.from_worlds(found), VisibilityGraph(tuple(sees))
+
+
+def reference_split(state, speakers, vis):
     expected = {}
     for w in state:
-        answers = tuple(knows_own(a, w, state, vis) for a in speakers)
-        expected.setdefault(answers, []).append(w)
-    assert split(state, speakers, vis) == expected
+        expected.setdefault(tuple(knows_own(a, w, state, vis) for a in speakers), []).append(w)
+    return expected
+
+
+@given(st.one_of(world_states().map(lambda case: (case[0], case[2])), wide_states()), st.data())
+def test_split_matches_reference(case, data):
+    state, vis = case
+    draw_speakers = st.lists(st.sampled_from(range(vis.n_agents)), min_size=1, unique=True)
+    speakers = data.draw(draw_speakers)
+    expected = reference_split(state, speakers, vis)
+    assert split(state, speakers, vis) == expected  # these states are too small for codes
+    with mock.patch.object(worlds, "CODED_FROM", 2):  # codes wherever a speaker sees every other seat
+        assert split(state, speakers, vis) == expected
+        # each part holds the codes handed on to it, and splits again as the reference does
+        parts, codes = partition(state, speakers, vis)
+        for answers, found in parts.items():
+            part = KnowledgeState(tuple(found), codes and codes[answers])
+            again = data.draw(draw_speakers)
+            assert split(part, again, vis) == reference_split(part, again, vis)
 
 
 @st.composite
@@ -142,6 +176,30 @@ def test_orbit_split_matches_plain_split(case, data):
     for answers, worlds in groups.items():
         w = data.draw(st.sampled_from(worlds))
         assert answers == tuple(knows_own(i, w, state, vis) for i in range(n))
+
+
+@pytest.mark.parametrize("sight,protocol,coded", [
+    (Full(), Circular(tuple(range(9)), 3), True),
+    (Blind(frozenset({0})), Simultaneous(10), True),
+    (Blind(frozenset({0})), Circular(tuple(range(9)), 3), True),
+    (FarCircle(), Simultaneous(10), False),
+    (FarCircle(), Circular(tuple(range(9)), 3), False),
+    (NearLine(), Circular(tuple(range(9)), 3), False),
+], ids=["full-circular", "blind-simultaneous", "blind-circular", "far-simultaneous", "far-circular", "line-circular"])
+def test_a_sweep_encodes_each_world_once_or_never(monkeypatch, sight, protocol, coded):
+    # a sweep in which some seat sees every other encodes the universe (511
+    # worlds, at least CODED_FROM) once and hands the codes on to every part
+    # below it; one in which no seat does encodes nothing.  Answering every
+    # seat off its keys gives the same rows
+    family = Scenario("e", tuple(f"a{i}" for i in range(9)), HatsAtLeast(0, 1, 2), sight, protocol, None)
+    assert len(family.universe()) >= worlds.CODED_FROM
+    encoded = []
+    real = worlds.encode
+    monkeypatch.setattr(worlds, "encode", lambda found: encoded.append(len(found)) or real(found))
+    rows = sweep(family).rows
+    assert encoded == ([len(family.universe())] if coded else [])
+    monkeypatch.setattr(worlds, "encode", lambda found: None)
+    assert sweep(family).rows == rows
 
 
 @st.composite
