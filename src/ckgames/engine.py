@@ -719,51 +719,51 @@ def run_profiles(
     of that observation group with no YES yet whose values seen have the same
     first-YES rounds.  A member alone in its class says YES.
 
-    A multiset is keyed by an integer: with the distinct values numbered
-    densely, value i weighs (n+1)^i, and no multiplicity reaches n+1, so
-    the sum of the weights tells multisets apart.  The holder of v observes
-    code(profile) - weight(v), with each profile's code worked out once.
+    With the distinct values numbered densely, value i weighs (n+1)^i; no
+    multiplicity reaches n+1, so a profile's code, the sum of its weights,
+    tells multisets apart, and the holder of v observes code - weight(v).  A
+    profile's YES signature sums r * (max_rounds+1)^i over its values i whose
+    holders said YES in round r.  A candidate's own value has no YES yet and
+    every other value of its profile is seen, so two candidates agree on every
+    seen value exactly when their signatures are equal, and classes key on them.
 
-    In round 1 no history is set yet, so a holder says YES exactly when its
-    observation group has one member.  Histories that differ once stay
-    different, so classes only split, and later rounds re-key only the groups
-    holding a profile that got a YES in the round before; each group's
-    distinct seen values are derived when it is first re-keyed.  A round with
-    no new YES changes no history, so every later round would be silent too
-    and the refinement stops there.
+    Round 1 has no history, so a holder says YES exactly when its group has
+    one member.  Histories that differ once stay different, so classes only
+    split, and later rounds re-key only the groups holding a profile that got
+    a YES in the round before; a round with no new YES changes no history,
+    so the refinement stops there.
     """
     values = sorted({v for prof in profiles for v in prof})
     base = max(map(len, profiles), default=0) + 1
     weight = {v: base**i for i, v in enumerate(values)}
+    value_of = {w: v for v, w in weight.items()}
+    mark = {v: (max_rounds + 1) ** i for i, v in enumerate(values)}
     table = {}
-    groups: dict[int, list[tuple[int, dict, int]]] = {}  # observation code -> (value, row, profile code)
+    row_of = {}  # profile code -> row
+    groups: dict[int, list[int]] = {}  # observation code -> profile codes
     for prof in profiles:
-        row = table[prof] = dict.fromkeys(prof)
         code = sum(map(weight.__getitem__, prof))
+        row = table[prof] = row_of[code] = dict.fromkeys(prof)
         for v in row:
-            groups.setdefault(code - weight[v], []).append((v, row, code))
-    yes = [members[0] for members in groups.values() if len(members) == 1]
-    seen_in: dict[int, list[int]] = {}
+            groups.setdefault(code - weight[v], []).append(code)
+    yes = [(obs, members[0]) for obs, members in groups.items() if len(members) == 1]
+    said: dict[int, int] = {}  # profile code -> YES signature
     for rnd in range(1, max_rounds + 1):
         if rnd > 1:
-            touched = {code - weight[u] for _, row, code in yes for u in row}
+            touched = {code - weight[u] for _, code in yes for u in row_of[code]}
             yes = []
             for obs in touched:
-                group = groups[obs]
-                seen = seen_in.get(obs)
-                if seen is None:  # a member's values, less its own unless the observation holds it too
-                    v, row, _ = group[0]
-                    seen = seen_in[obs] = [u for u in row if u != v or obs // weight[v] % base]
-                classes: dict[tuple, list[tuple[int, dict, int]]] = {}
-                for member in group:
-                    v, row, _ = member
-                    if row[v] is None:
-                        classes.setdefault(tuple([row[u] for u in seen]), []).append(member)
-                yes += [members[0] for members in classes.values() if len(members) == 1]
+                classes: dict[int, list[int]] = {}
+                for code in groups[obs]:
+                    if row_of[code][value_of[code - obs]] is None:
+                        classes.setdefault(said.get(code, 0), []).append(code)
+                yes += [(obs, members[0]) for members in classes.values() if len(members) == 1]
         if not yes:
             break
-        for v, row, _ in yes:
-            row[v] = rnd
+        for obs, code in yes:
+            v = value_of[code - obs]
+            row_of[code][v] = rnd
+            said[code] = said.get(code, 0) + rnd * mark[v]
     return table
 
 

@@ -21,6 +21,7 @@ contract; test_properties checks it for every class.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -411,8 +412,13 @@ class NearLine:
 SightModel = Full | Blind | NearCircle | FarCircle | NearLine
 
 
+@functools.cache
 def gen_visibility(model: SightModel, n: int) -> VisibilityGraph:
-    """Build the visibility graph for a sight model over n seated agents."""
+    """Build the visibility graph for a sight model over n seated agents.
+
+    Each (model, n) gets one graph for the life of the process, so a parse
+    that validates the sight and the runs of its scenario share it.
+    """
     if n < 2:
         raise GenerationError("need at least 2 agents")
     everyone = set(range(n))

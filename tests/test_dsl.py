@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ckgames import dsl
+from ckgames import dsl, scenarios
 from ckgames.dsl import ParseError, SemanticError, parse, parse_expected, pretty
 from ckgames.engine import run
 from ckgames.scenarios import Circular, HatsAtLeast, MaxDiffExact, Simultaneous, SumOrProduct
@@ -33,6 +33,15 @@ def test_parse_intro():
     assert sc.protocol == Simultaneous(5)
     assert sc.actual == (0, 1, 1)
     assert len(sc.universe()) == 7
+
+
+def test_a_parse_and_its_run_build_one_sight_graph(monkeypatch):
+    built = []
+    real = scenarios.VisibilityGraph
+    monkeypatch.setattr(scenarios, "VisibilityGraph", lambda sees: built.append(sees) or real(sees))
+    scenarios.gen_visibility.cache_clear()
+    run(parse(INTRO))
+    assert len(built) == 1
 
 
 def test_parse_rejects_constraint_violation():

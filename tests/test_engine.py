@@ -461,7 +461,7 @@ def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
 
 def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():
     # equal sight graphs drawn apart share one group, with its plans and subgroups
-    first, second = (scenarios.gen_visibility(FarCircle(), 7) for _ in range(2))
+    first, second = (worlds.VisibilityGraph(scenarios.gen_visibility(FarCircle(), 7).sees) for _ in range(2))
     assert first is not second and first == second
     assert engine._sweep_group(first, True) is engine._sweep_group(second, True)
     assert engine._sweep_group(first, False) is engine._sweep_group(second, False)

@@ -597,6 +597,9 @@ def class_profiles(draw):
 
 
 # one value held n times (the largest multiplicity a weight must carry) and n = 1
+# and, in round 3, (3, 3, 3, 4)'s round-1 YES at 4 against (3, 3, 4, 4)'s round-2
+# YES at 3, which a YES signature of base 2 would weigh alike (1 * 2^4 = 2 * 2^3)
+@example(frozenset({(0, 1, 3, 3), (0, 3, 3, 4), (0, 3, 4, 4), (2, 2, 3, 4), (2, 3, 3, 4), (3, 3, 3, 4), (3, 3, 4, 4)}), 3)
 @example(frozenset({(719,) * 4, (0, 719, 719, 719), (0, 0, 7, 719)}), 5)
 @example(frozenset({(3,), (60,)}), 2)
 @given(st.one_of(maxdiff_profiles(), any_profiles(), class_profiles()), st.integers(0, 8))

@@ -128,8 +128,9 @@ def test_visibility_models_self_exclusive():
 
 
 def test_circle_needs_three():
-    with pytest.raises(GenerationError):
-        gen_visibility(NearCircle(), 2)
+    for _ in range(2):  # a refusal is not cached: every call raises
+        with pytest.raises(GenerationError):
+            gen_visibility(NearCircle(), 2)
 
 
 def test_gen_universe_refuses_more_worlds_than_the_materialize_limit(monkeypatch):
