@@ -119,7 +119,7 @@ class _Branch(NamedTuple):
     state: object  # KnowledgeState, _Lazy while too large to hold, or _ProfileCell
     events: tuple[tuple, ...]  # Event fields as plain tuples
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
-    stabilizer: tuple[int, ...]  # the elements of the seat group that map the cell onto itself
+    symmetric: bool  # every element of the seat group maps the cell onto itself
     # sweeps only: (element e, running sha256 of the digest text of the cell moved by e),
     # one per cell this branch stands for
     images: Optional[list]
@@ -136,7 +136,7 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
     on profiles instead, see run_path).  Every universe is closed under
     every seat permutation (see scenarios), so the sight graph decides.  Each
     (sight graph, protocol kind) gets one group for the life of the process,
-    with its split plans and subgroups built on first use.
+    with its split plan built on first use.
     """
     n = vis.n_agents
     generators = []
@@ -292,18 +292,18 @@ def _play(
     of learners unchanged (a certified fixpoint).
 
     `group` is a SeatGroup of the sight graph; `root`, a universe, is closed
-    under every seat permutation (see scenarios), so under the group too.  A
-    branch's stabilizer is its subgroup that maps the branch's state onto
-    itself, and each split of the state goes through it (see worlds.partition).
-    A sweep keeps one branch per orbit of cells; its `images` are the
-    elements that move it onto the cells it stands for (see sweep).
+    under every seat permutation (see scenarios), so under the group too, and
+    its branch is symmetric.  A symmetric branch's state is split through the
+    whole group (see worlds.partition), any other's without a group.  A sweep
+    keeps one branch per orbit of cells; its `images` are the elements that
+    move it onto the cells it stands for (see sweep).
     """
     protocol = scenario.protocol
     n = scenario.n_agents
     simultaneous = isinstance(protocol, scenarios.Simultaneous)
     steps = [tuple(range(n))] if simultaneous else [(agent,) for agent in protocol.order]
     images = [(0, hashlib.sha256())] if actual is None else None
-    live = [_Branch(root, (), {}, tuple(range(len(group.perms))), images)]
+    live = [_Branch(root, (), {}, True, images)]
     leaves = []
     for rnd in range(1, protocol.max_rounds + 1):
         if not live:
@@ -345,12 +345,16 @@ def _children(
     """One child per part of the branch's state after `speakers` answer truthfully.
 
     With an actual world, only the child holding it; a state that is not
-    held (a _Lazy or a _ProfileCell) narrows itself to its parts.  An
-    element of the branch's stabilizer moves each part onto the part with
-    the moved answers.  So a sweep keeps only the first part of each such
-    class, which stands for the rest through one element per distinct moved
-    answer vector; a run needs only the stabilizer.  The same symmetry lets
-    the split build tables for one seat per orbit (see worlds.partition).
+    held (a _Lazy or a _ProfileCell) narrows itself to its parts.  Every
+    element of the group maps a symmetric branch's state onto itself, so it
+    moves each part onto the part with the moved answers, and the split
+    builds tables for one seat per orbit (see worlds.partition).  A sweep
+    keeps only the first part of each such class, which stands for the rest
+    through the first element giving each distinct moved answer vector.  A
+    part is symmetric when its branch is and every element fixes its
+    answers.  Any other branch is split without a group, and its parts keep
+    its images as they are: the symmetric branch it came from stood for
+    itself alone, so they are distinct cosets of the whole group.
 
     A step whose speakers have all said YES in the branch is not split: each
     of them said it in every world of the branch, and a seat that knows its
@@ -369,8 +373,7 @@ def _children(
     elif not isinstance(branch.state, KnowledgeState):
         parts = branch.state.narrowed(speakers, group.vis, actual)
     else:
-        subgroup = group.subgroup(branch.stabilizer)
-        split_parts, codes = partition(branch.state, speakers, group.vis, subgroup)
+        split_parts, codes = partition(branch.state, speakers, group.vis, group if branch.symmetric else None)
         parts = [(answers, worlds) for answers, worlds in split_parts.items() if actual is None or actual in worlds]
     learned = Eventual.learns(rnd, turn)
     acts = group.acts
@@ -380,17 +383,17 @@ def _children(
             continue
         if isinstance(state, list):  # a split part, wrapped with its codes once kept
             state = KnowledgeState(tuple(state), codes and codes[answers])
-        if actual is not None:
-            stabilizer = [h for h in branch.stabilizer if acts[h](answers) == answers]
-        else:
+        symmetric, moves = branch.symmetric, branch.images  # moves: (element, digest) per cell to stand for
+        if symmetric and actual is not None:
+            symmetric = all([act(answers) == answers for act in acts])
+        elif symmetric:
             cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
-            stabilizer = []
-            for h in branch.stabilizer:
-                moved = acts[h](answers)
-                cosets.setdefault(moved, h)
-                if moved == answers:
-                    stabilizer.append(h)
+            for h, act in enumerate(acts):
+                cosets.setdefault(act(answers), h)
             kept.update(cosets)
+            symmetric = len(cosets) == 1
+            ((_, digest),) = branch.images  # a symmetric branch stands for itself alone, through element 0
+            moves = [(h, digest) for h in cosets.values()]
         first_yes = dict(branch.first_yes)
         for agent, answer in zip(speakers, answers):
             if answer:
@@ -400,18 +403,15 @@ def _children(
             (rnd, turn, agent, answer, size) for agent, answer in zip(speakers, answers)
         ])
         images = None
-        if branch.images is not None:  # extends each image's transcript_digest text by this step
+        if moves is not None:  # extends each image's transcript_digest text by this step
             yes, no = b"YES,%d" % size, b"NO,%d" % size
             words = tuple([yes if answer else no for answer in answers])
-            compose = group.compose
             images = []
-            for e, digest in branch.images:
-                for h in cosets.values():
-                    image = compose[e][h]
-                    extended = digest.copy()
-                    extended.update(template % acts[image](words))
-                    images.append((image, extended))
-        yield _Branch(state, branch.events + events, first_yes, tuple(stabilizer), images)
+            for e, digest in moves:
+                extended = digest.copy()
+                extended.update(template % acts[e](words))
+                images.append((e, extended))
+        yield _Branch(state, branch.events + events, first_yes, symmetric, images)
 
 
 _NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
@@ -547,10 +547,10 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     turns and blind agents keep the identity alone.  One cell per orbit is
     refined.  The rows of the other cells are the representative's worlds
     and eventual tuple moved by a permutation, each with the digest of its
-    own moved announcements.  A cell that some permutations leave as it is
-    (the universe always) is split with tables for one seat per orbit of
-    those permutations on the seats, answering once per orbit of its worlds
-    (see worlds.partition).
+    own moved announcements.  A cell that every permutation of the group
+    leaves as it is (the universe always) is split with tables for one seat
+    per orbit of the group on the seats, answering once per orbit of its
+    worlds (see worlds.partition); any other cell is split without a group.
 
     A family with no world is refused with EngineError.
 

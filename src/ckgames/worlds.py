@@ -241,10 +241,9 @@ class SeatGroup:
     """The group that `generators` generate, each a permutation of the seats and a symmetry of `vis`.
 
     Element 0 is the identity.  Element e moves a world, answer vector or
-    eventual tuple x to acts[e](x), whose seat i holds x[perms[e][i]], and
-    compose[e][f] acts as f, then e.  A generator that is not a permutation
-    of the seats, or that does not map the sight graph onto itself, is
-    refused with ContractViolation.
+    eventual tuple x to acts[e](x), whose seat i holds x[perms[e][i]].  A
+    generator that is not a permutation of the seats, or that does not map
+    the sight graph onto itself, is refused with ContractViolation.
 
     If p maps the sight graph onto itself, seat p[r] answers in w as seat r
     answers in p(w).  So a split of a state closed under the group needs
@@ -273,19 +272,10 @@ class SeatGroup:
                 if q not in known:
                     known.add(q)
                     perms.append(q)
-        # the identity acts as `tuple`, which also takes a circular step's one answer
-        self._hold(vis, tuple(perms), (tuple,) + tuple([itemgetter(*p) for p in perms[1:]]))
-
-    def _hold(self, vis: VisibilityGraph, perms: tuple[tuple[int, ...], ...], acts: tuple) -> None:
         self.vis = vis
-        self.perms = perms
-        self.acts = acts
-        self._subgroups: dict[tuple[int, ...], SeatGroup] = {}
-
-    @cached_property
-    def compose(self) -> tuple[tuple[int, ...], ...]:
-        index = {p: e for e, p in enumerate(self.perms)}
-        return tuple(tuple(index[act(q)] for q in self.perms) for act in self.acts)
+        self.perms = tuple(perms)
+        # the identity acts as `tuple`, which also takes a circular step's one answer
+        self.acts = (tuple,) + tuple([itemgetter(*p) for p in perms[1:]])
 
     @cached_property
     def plan(self) -> tuple:
@@ -301,20 +291,6 @@ class SeatGroup:
                         route[p[r]] = (_key_fn(tuple([p[j] for j in observed])), len(firsts))
                 firsts.append(r)
         return tuple(firsts), tuple(route)
-
-    def subgroup(self, elements: tuple[int, ...]) -> "SeatGroup":
-        """The subgroup of the elements numbered `elements`, ascending from 0, made once.
-
-        A stabilizer's elements are checked and closed already, so it takes
-        them and their acts as they are, with no composition to close them.
-        """
-        if len(elements) == len(self.perms):
-            return self
-        sub = self._subgroups.get(elements)
-        if sub is None:
-            sub = self._subgroups[elements] = object.__new__(SeatGroup)
-            sub._hold(self.vis, tuple([self.perms[e] for e in elements]), tuple([self.acts[e] for e in elements]))
-        return sub
 
 
 def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None) -> dict:

@@ -204,20 +204,28 @@ def test_rotation_quotient_rows_match_runs(n, constraint, sight):
     assert_rows_match_runs(periodic(n, constraint, sight, Simultaneous(10)))
 
 
-def test_rotation_quotient_has_stabilizers_of_order_2_3_4():
-    # leaves fixed by a reflection alone (line sight: the reversal), and by a
-    # reflection with the rotations by a half, a third or a quarter of the circle
-    shapes = set()
+def test_quotient_leaves_are_symmetric_or_hold_distinct_images():
+    # a leaf is symmetric, fixed by the whole seat group, exactly when every
+    # element fixes each answer vector it heard, and it then stands for itself
+    # alone; any other leaf stands for distinct images of itself
+    kinds = set()
     for sight in (NearCircle(), FarCircle(), Full(), NearLine()):
         for n, constraint in PERIODIC:
             family = periodic(n, constraint, sight, Simultaneous(10))
-            universe = family.universe()
             group = engine._sweep_group(family.visibility(), True)
-            for branch, _ in engine._play(family, universe, group=group):
-                perms = [group.perms[e] for e in branch.stabilizer]
-                turns = sum(all(p[i] == (p[0] + i) % n for i in range(n)) for p in perms)
-                shapes.add((type(sight).__name__, turns, len(perms) - turns))
-    assert {("NearLine", 1, 1), ("FarCircle", 1, 1), ("Full", 2, 2), ("Full", 3, 3), ("Full", 4, 4)} <= shapes
+            for branch, _ in engine._play(family, family.universe(), group=group):
+                heard = [tuple(answer for *_, answer, _ in branch.events[i:i + n])
+                         for i in range(0, len(branch.events), n)]
+                fixed = all(act(answers) == answers for answers in heard for act in group.acts)
+                elements = [e for e, _ in branch.images]
+                assert branch.symmetric == fixed
+                if branch.symmetric:
+                    assert elements == [0]
+                else:
+                    assert len(set(elements)) == len(elements)
+                kinds.add((type(sight).__name__, branch.symmetric))
+    assert {(name, symmetric) for name in ("NearCircle", "FarCircle", "Full", "NearLine")
+            for symmetric in (True, False)} <= kinds
 
 
 @pytest.mark.parametrize("sight,protocol,order", [
@@ -237,10 +245,11 @@ def test_sweep_group_is_the_symmetry_of_sight_and_universe(sight, protocol, orde
     if order == 2:
         assert group.perms[1] == (5, 4, 3, 2, 1, 0)
     world = (0, 1, 2, 3, 4, 5)
+    moved = {act(world) for act in group.acts}
     for e, act in enumerate(group.acts):
         assert act(world) == tuple(world[i] for i in group.perms[e])
-        for f, other in enumerate(group.acts):
-            assert group.acts[group.compose[e][f]](world) == act(other(world))
+        for other in group.acts:  # closed: each product of two elements is an element
+            assert act(other(world)) in moved
 
 
 @pytest.mark.parametrize("sight", [NearCircle(), FarCircle(), Full()], ids=repr)
@@ -343,12 +352,17 @@ def test_sweep_rows_of_symmetric_families_are_pinned(n, constraint, sight):
 
 
 def test_rotation_quotient_splits_fewer_cells(monkeypatch):
+    family = periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8))
     calls = []
     real = engine.partition
-    monkeypatch.setattr(engine, "partition", lambda *args: calls.append(1) or real(*args))
-    report = sweep(periodic(9, HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8)))
-    # 64 distinct transcripts; rotations alone took 12 splits, rotations and reflections 11
-    assert len({r.digest for r in report.rows}) == 64 and len(calls) == 11
+    monkeypatch.setattr(engine, "partition", lambda *args: calls.append(len(args[0])) or real(*args))
+    report = sweep(family)
+    # 64 distinct transcripts; the dihedral group of the 9 seats takes 12 splits over
+    # 103 worlds, the identity alone 92 over 231
+    assert len({r.digest for r in report.rows}) == 64 and (len(calls), sum(calls)) == (12, 103)
+    calls.clear()
+    monkeypatch.setattr(engine, "_sweep_group", lambda vis, simultaneous: worlds.SeatGroup(vis))
+    assert sweep(family) == report and (len(calls), sum(calls)) == (92, 231)
 
 
 def tables_per_split(monkeypatch, sc, coded_seats=None):
@@ -460,7 +474,7 @@ def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
 
 
 def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():
-    # equal sight graphs drawn apart share one group, with its plans and subgroups
+    # equal sight graphs drawn apart share one group, with its split plan
     first, second = (worlds.VisibilityGraph(scenarios.gen_visibility(FarCircle(), 7).sees) for _ in range(2))
     assert first is not second and first == second
     assert engine._sweep_group(first, True) is engine._sweep_group(second, True)

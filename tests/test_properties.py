@@ -391,6 +391,46 @@ def test_quotiented_run_matches_reference_replay(family, data):
 
 
 @st.composite
+def circulant_families(draw):
+    """(a simultaneous hat family on 4-7 seats, a circulant sight graph of its seats).
+
+    Seat i sees seat i + a mod n for each of a drawn set of offsets a, so
+    every rotation maps the graph onto itself, and the reversal only when
+    the offsets are closed under negation: offsets that are not give
+    _sweep_group the rotations alone, which no sight model does.
+    """
+    n = draw(st.integers(4, 7))
+    offsets = draw(st.sets(st.integers(1, n - 1)))
+    vis = VisibilityGraph(tuple(frozenset((i + a) % n for a in offsets) for i in range(n)))
+    constraint = draw(st.sampled_from([HatsExactly(0, draw(st.integers(1, n - 1)), 2), HatsAtLeast(0, 1, 2)]))
+    family = Scenario("circ", tuple(f"a{i}" for i in range(n)), constraint, Full(),
+                      Simultaneous(draw(st.integers(1, 8))), None)
+    return family, vis
+
+
+@settings(deadline=None)
+@given(circulant_families(), st.data())
+def test_circulant_sight_sweep_matches_identity_runs(case, data):
+    # every sweep row against a materialized run of its world under the
+    # identity group, and a few quotiented runs against the knows_own replay
+    family, vis = case
+    n = family.n_agents
+    with mock.patch.object(Scenario, "visibility", lambda sc: vis):
+        assert len(engine._sweep_group(vis, True).perms) in (n, 2 * n)
+        rows = sweep(family).rows
+        for actual in data.draw(st.lists(st.sampled_from([r.world for r in rows]), min_size=1, max_size=3)):
+            sc = dataclasses.replace(family, actual=actual)
+            t = run(sc)
+            assert (t.events, t.eventual, t.stabilized_at, t.final_candidates) == replay(sc), actual
+        with mock.patch.object(engine, "_sweep_group", lambda vis, simultaneous: SeatGroup(vis)), \
+                mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
+            for row in rows:
+                solo = run(dataclasses.replace(family, actual=row.world))
+                assert (row.eventual, row.learners, row.digest) == \
+                    (solo.eventual, solo.learners(), transcript_digest(solo.events)), row.world
+
+
+@st.composite
 def full_sight_families(draw):
     """A small_families() member made a simultaneous game in which every seat
     sees every other: full sight, or a near circle of three seats.  Drawn
