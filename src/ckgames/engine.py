@@ -487,9 +487,7 @@ def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
     other, whatever the sight model that drew the graph; otherwise
     "streamed" above STREAM_THRESHOLD worlds and "materialized" up to it.
     """
-    if isinstance(scenario.protocol, scenarios.Simultaneous) and all(
-        len(seen) == vis.n_agents - 1 for seen in vis.sees  # no seat sees itself
-    ):
+    if isinstance(scenario.protocol, scenarios.Simultaneous) and len(vis.full_sight) == vis.n_agents:
         return "profiles"
     if scenario.constraint.count_worlds(scenario.n_agents) > STREAM_THRESHOLD:
         return "streamed"

@@ -41,6 +41,13 @@ class GenerationError(Exception):
 # universe constraints
 
 
+def _check_hats(c) -> None:
+    if not 0 <= c.color < c.n_colors:
+        raise GenerationError(f"hat color {c.color} is not one of the {c.n_colors} colors")
+    if c.count < 0:
+        raise GenerationError("hat count must be non-negative")
+
+
 @dataclass(frozen=True)
 class HatsAtLeast:
     """At least `count` agents wear color `color` (index into the alphabet)."""
@@ -48,6 +55,9 @@ class HatsAtLeast:
     color: int
     count: int
     n_colors: int
+
+    def __post_init__(self):
+        _check_hats(self)
 
     def generate(self, n: int) -> Iterator[World]:
         return _hat_tuples(self.n_colors, n, self.color, self.count, n)
@@ -74,6 +84,9 @@ class HatsExactly:
     color: int
     count: int
     n_colors: int
+
+    def __post_init__(self):
+        _check_hats(self)
 
     def generate(self, n: int) -> Iterator[World]:
         return _hat_tuples(self.n_colors, n, self.color, self.count, self.count)
@@ -507,6 +520,8 @@ class Scenario:
         return gen_universe(self.constraint, self.n_agents)
 
     def validate(self) -> None:
+        if isinstance(self.protocol, Circular) and sorted(self.protocol.order) != list(range(self.n_agents)):
+            raise GenerationError("circular order must be a permutation of the agents")
         if self.actual is not None:
             if len(self.actual) != self.n_agents:
                 raise GenerationError("actual world length does not match agent count")

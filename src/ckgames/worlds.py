@@ -323,7 +323,9 @@ def partition(state: Iterable[World], speakers, vis: VisibilityGraph, group: Opt
     encoded the first time such a speaker speaks (see coded_column).  The
     codes of a state that has them are handed on to its parts, so no state
     below it is encoded again.  A one-speaker step cuts its two parts out
-    with itertools.compress.
+    with itertools.compress, and a step of more speakers groups its worlds
+    by their answer vectors; a part's codes are cut by the same mask, or
+    the same grouping, as its worlds.
     """
     if group is not None and group.vis is not vis and group.vis != vis:
         raise ContractViolation("the seat group was set up for another sight graph")
@@ -349,35 +351,20 @@ def partition(state: Iterable[World], speakers, vis: VisibilityGraph, group: Opt
             keys = list(map(vis.keys[agent], state))
             table = own_table(keys, state, agent)
             columns.append([table[k] != MIXED for k in keys])
-    if len(columns) == 1:
+    if len(columns) > 1:
+        vectors = list(zip(*columns))
+        cut = lambda seq: _grouped(seq, vectors)
+    else:
         (said,) = columns
         if said.count(said[0]) == len(said):  # no world told apart
             return {(said[0],): list(state)}, coded and {(said[0],): coded}
-        parts = {(YES,): list(compress(state, said)), (NO,): list(compress(state, map(not_, said)))}
-        if not coded:
-            return parts, None
-        masks, codes = coded
-        return parts, {(YES,): (masks, list(compress(codes, said))), (NO,): (masks, list(compress(codes, map(not_, said))))}
-    if not coded:
-        return _grouped(state, zip(*columns)), None
-    vectors = list(zip(*columns))
-    if vectors.count(vectors[0]) == len(vectors):  # no world told apart
-        return {vectors[0]: list(state)}, {vectors[0]: coded}
-    masks, codes = coded
-    parts, coded_parts = {}, {}
-    for w, code, answers in zip(state, codes, vectors):
-        part = parts.get(answers)
-        if part is None:
-            parts[answers] = [w]
-            coded_parts[answers] = [code]
-        else:
-            part.append(w)
-            coded_parts[answers].append(code)
-    return parts, {answers: (masks, codes) for answers, codes in coded_parts.items()}
+        halves = ((YES,), said), ((NO,), list(map(not_, said)))
+        cut = lambda seq: {answers: list(compress(seq, mask)) for answers, mask in halves}
+    return cut(state), coded and {answers: (coded[0], codes) for answers, codes in cut(coded[1]).items()}
 
 
 def _grouped(state: Iterable[World], vectors: Iterable) -> dict:
-    """Each answer vector to the list of its worlds, both in the order of `state`."""
+    """Each answer vector to the list of its worlds (or codes), both in the order of `state`."""
     groups: dict[tuple[bool, ...], list[World]] = {}
     for w, answers in zip(state, vectors):
         part = groups.get(answers)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The streamed ten-person line fixture and the world-root sweep of the
-criterion-11 family are marked slow; run them explicitly with `pytest -m slow`.
+The streamed ten-person line fixture, the world-root sweep of the
+criterion-11 family, and the criterion-02 and criterion-11 grids at their
+largest sizes are marked slow; run them explicitly with `pytest -m slow`.
 """
 
 import json
@@ -78,16 +79,26 @@ def test_criterion_01_nine_sages():
 # -- 2 -------------------------------------------------------------------------
 
 
-def test_criterion_02_hats_simultaneous_grid():
+def _hats_simultaneous_mismatches(sizes):
     mismatches = 0
-    for n in range(2, 9):
+    for n in sizes:
         for r in range(1, n + 1):
             world = (R,) * r + (B,) * (n - r)
             t = run(Scenario("g", agents(n), HatsAtLeast(R, 1, 2), Full(),
                              Simultaneous(n + 3), world))
             mismatches += bool(oracles.cross_check(oracles.predict_hats_simultaneous(n, r), t))
-    assert mismatches == 0
-    ok(2, "simultaneous hats grid N<=8: zero oracle mismatches")
+    return mismatches
+
+
+def test_criterion_02_hats_simultaneous_grid():
+    assert _hats_simultaneous_mismatches(range(2, 25)) == 0
+    ok(2, "simultaneous hats grid N in [2,24]: zero oracle mismatches")
+
+
+@pytest.mark.slow
+def test_criterion_02_hats_simultaneous_grid_large_slow():
+    assert _hats_simultaneous_mismatches(range(25, 41)) == 0
+    ok(2, "simultaneous hats grid N in [25,40]: zero oracle mismatches")
 
 
 # -- 3 -------------------------------------------------------------------------
@@ -282,9 +293,9 @@ def test_criterion_10_consecutive():
 # -- 11 ------------------------------------------------------------------------
 
 
-def test_criterion_11_d1_formula():
+def _d1_mismatches(sizes):
     mismatches = 0
-    for n in range(3, 7):
+    for n in sizes:
         for m in range(0, 3):
             for p in range(1, n):
                 world = tuple(sorted([m + 1] * p + [m] * (n - p)))
@@ -294,8 +305,18 @@ def test_criterion_11_d1_formula():
                               Simultaneous(rounds), world)
                 t = run(sc)
                 mismatches += bool(oracles.cross_check(oracles.predict_d1_world(world), t))
-    assert mismatches == 0
-    ok(11, "difference-one multisets: round formula matches engine for N in [3,6]")
+    return mismatches
+
+
+def test_criterion_11_d1_formula():
+    assert _d1_mismatches(range(3, 10)) == 0
+    ok(11, "difference-one multisets: round formula matches engine for N in [3,9]")
+
+
+@pytest.mark.slow
+def test_criterion_11_d1_formula_large_slow():
+    assert _d1_mismatches(range(10, 13)) == 0
+    ok(11, "difference-one multisets: round formula matches engine for N in [10,12]")
 
 
 def _static_round1_yes_count(profile):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from ckgames import scenarios
+from ckgames import engine, scenarios
 from ckgames.scenarios import (
     Blind,
     Circular,
@@ -192,8 +192,17 @@ def test_circular_order_must_be_permutation():
      "actual world length does not match agent count"),
     (lambda: Simultaneous(0), "max_rounds must be positive"),
     (lambda: Circular((0, 1), 0), "max_rounds must be positive"),
+    (lambda: HatsAtLeast(5, 1, 2), "hat color 5 is not one of the 2 colors"),
+    (lambda: HatsExactly(0, -1, 2), "hat count must be non-negative"),
+    (lambda: engine.run(Scenario("x", ("a", "b", "c", "d"), HatsAtLeast(0, 1, 2), Full(), Circular((0, 1, 2), 3),
+                                 (0, 1, 1, 1))),
+     "circular order must be a permutation of the agents"),
+    (lambda: Scenario("x", ("a", "b", "c"), HatsAtLeast(0, 1, 2), Full(), Circular((0, 1, 2, 3), 3),
+                      (0, 1, 1)).validate(),
+     "circular order must be a permutation of the agents"),
 ], ids=["one-seat-sight", "blind-above", "blind-below", "two-seat-far-circle", "unknown-sight",
-        "one-seat-universe", "actual-length", "simultaneous-rounds", "circular-rounds"])
+        "one-seat-universe", "actual-length", "simultaneous-rounds", "circular-rounds",
+        "hat-color", "hat-count", "circular-order-misses-a-seat", "circular-order-invents-a-seat"])
 def test_refusals_only_the_python_api_reaches(build, message):
     with pytest.raises(GenerationError, match=f"^{message}$"):
         build()
