@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
@@ -33,8 +34,6 @@ from .worlds import (
     VisibilityGraph,
     World,
     answer_str,
-    answer_tables,
-    answers_in,
     partition,
 )
 
@@ -148,42 +147,61 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
     return SeatGroup(vis, generators)
 
 
-class _Lazy:
-    """The constraint's worlds that pass every predicate, generated afresh on each pass.
+# the worlds a streamed step counts at a time; a step holds one chunk and, per
+# speaker, one entry per distinct observation key
+CHUNK = 2048
 
-    Memory stays proportional to the distinct observation keys of a step.
+
+class _Lazy:
+    """The constraint's worlds that every announcement so far keeps, generated afresh on each pass.
+
+    Each speaker's announcement is a pair: its observation-key function and
+    the frozenset of keys under which it answered as in the actual world.  A
+    pass keeps the worlds whose keys are all accepted, through
+    itertools.compress and C-level key functions; no world is held.
     """
 
-    def __init__(self, constraint, n: int, predicates: tuple, size: int):
+    def __init__(self, constraint, n: int, kept: tuple, size: int):
         self.constraint = constraint
         self.n = n
-        self.predicates = predicates
+        self.kept = kept  # (key function, accepted keys) per speaker of each step so far
         self.size = size
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        return scenarios.stream_worlds(self.constraint, self.n, self.predicates)
+        stream = scenarios.stream_worlds(self.constraint, self.n)
+        for key, accepted in self.kept:
+            stream, probe = itertools.tee(stream)
+            stream = itertools.compress(stream, map(accepted.__contains__, map(key, probe)))
+        return stream
 
     def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
         """[(the actual world's answers, the worlds giving the same answers)].
 
-        The table pass answers the step.  One speaker's kept size is a sum of the
-        table's counts; a simultaneous round counts in one more pass, keeping the
-        worlds if they fit.  The result is materialized once it fits.
+        One pass counts each speaker's (observation key, own value) pairs,
+        CHUNK worlds at a time, into its key's own value (MIXED where it
+        varies) and count.  One speaker's kept size is a sum of the counts; a
+        simultaneous round counts in one more pass, keeping the worlds if they
+        fit.  The result is materialized once it fits.
         """
-        tables = answer_tables(self, speakers, vis)
-        announced = answers_in(tables, actual)
-        kept = _Lazy(
-            self.constraint, self.n,
-            self.predicates + (lambda w: answers_in(tables, w) == announced,), 0,
-        )
-        worlds = kept
+        tables = [(vis.keys[agent], itemgetter(agent), {}, Counter()) for agent in speakers]
+        stream = iter(self)
+        for chunk in iter(lambda: list(itertools.islice(stream, CHUNK)), []):
+            for key, own, table, counts in tables:
+                for (k, v), count in Counter(zip(map(key, chunk), map(own, chunk))).items():
+                    counts[k] += count
+                    if table.setdefault(k, v) != v:
+                        table[k] = MIXED
+        announced = tuple([table[key(actual)] != MIXED for key, _, table, _ in tables])
+        pairs = tuple([
+            (key, frozenset([k for k, v in table.items() if (v != MIXED) == said]))
+            for (key, _, table, _), said in zip(tables, announced)
+        ])
+        kept = worlds = _Lazy(self.constraint, self.n, self.kept + pairs, 0)
         if len(speakers) == 1:
-            kept.size = sum(
-                count for own, count in tables[0][1].values() if (own != MIXED) == announced[0]
-            )
+            kept.size = sum(map(tables[0][3].__getitem__, pairs[0][1]))  # its accepted keys' counts
         else:
             stream = iter(kept)
             worlds = list(itertools.islice(stream, STREAM_THRESHOLD + 1))

@@ -7,8 +7,8 @@ enumerating.  The
 constraints whose natural universe is infinite (exact or at-most maximum
 difference, consecutive numbers) have a `cap` field, the largest value a
 world may hold; needs_cap tells them by it, and nothing else stores the cap.
-The cap is a finite proxy validated by the engine's stability check, not by
-construction.
+The cap is a finite proxy, not a proof: engine.stability_check compares one
+run at two caps, and nothing checks a sweep's family.
 
 Every constraint is exchangeable: it accepts a world by its multiset of
 values, never by which seat holds which value, so `contains(w)` equals
@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .worlds import KnowledgeState, VisibilityGraph, World
 
@@ -476,15 +476,9 @@ def gen_universe(constraint: Constraint, n: int) -> KnowledgeState:
     return KnowledgeState(tuple(constraint.generate(n)))  # generators yield strictly increasing worlds
 
 
-def stream_worlds(
-    constraint: Constraint, n: int, predicates: Iterable = ()
-) -> Iterator[World]:
-    """Yield the worlds of gen_universe passing every predicate, in canonical
-    order, without materializing the set."""
-    predicates = tuple(predicates)
-    for w in constraint.generate(n):
-        if all(p(w) for p in predicates):
-            yield w
+def stream_worlds(constraint: Constraint, n: int) -> Iterator[World]:
+    """The worlds of gen_universe in canonical order, generated one at a time and never held."""
+    return iter(constraint.generate(n))
 
 
 def needs_cap(constraint: Constraint | type) -> bool:

@@ -9,7 +9,10 @@ would have been made.
 The announcement kernel, partition (split keeps its worlds alone), answers a
 speaker who sees only some seats through a table of its observation keys, and
 a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
-off the state's worlds packed into integers (see encode).
+off the state's worlds packed into integers (see encode).  A state too large
+to hold is engine._Lazy: each announcement is kept as a speaker's key function
+(VisibilityGraph.keys) with the set of its accepted keys, so a pass keeps a
+world when every key it gives is accepted.
 """
 
 from __future__ import annotations
@@ -142,33 +145,9 @@ MIXED = -1  # marks an observation key under which the speaker's own value varie
 
 def _key_fn(observed: tuple[int, ...]) -> Callable[[World], object]:
     # itemgetter of one index returns a bare value, not a 1-tuple; keys are only
-    # ever compared with keys made by the same function
-    return itemgetter(*observed) if observed else lambda w: ()
-
-
-def answer_tables(worlds: Iterable[World], speakers, vis: VisibilityGraph) -> list:
-    """One pass over `worlds`: per speaker, (its observation-key function, table).
-
-    A table maps each observation key to [the speaker's own value, or MIXED when
-    it varies under that key, number of worlds with that key].  The speaker
-    knows its value exactly where the entry is not MIXED.  `worlds` may be a
-    lazily generated stream, and only engine._Lazy.narrowed reads a count.
-    Held states split through partition instead, which keeps no count: it
-    answers a speaker who sees every other seat off the state's codes, and
-    any other through own_table.
-    """
-    cols = [(agent, vis.keys[agent], {}) for agent in speakers]
-    for w in worlds:
-        for agent, key, table in cols:
-            k = key(w)
-            entry = table.get(k)
-            if entry is None:
-                table[k] = [w[agent], 1]
-            else:
-                if entry[0] != w[agent]:
-                    entry[0] = MIXED
-                entry[1] += 1
-    return [(key, table) for _, key, table in cols]
+    # ever compared with keys made by the same function.  A seat who sees nobody
+    # gets the empty slice, so every world gives it the key ()
+    return itemgetter(*observed) if observed else itemgetter(slice(0, 0))
 
 
 def own_table(keys: Iterable, state: Sequence[World], agent: int) -> dict:
@@ -179,11 +158,6 @@ def own_table(keys: Iterable, state: Sequence[World], agent: int) -> dict:
         if table.setdefault(k, own) != own:
             table[k] = MIXED
     return table
-
-
-def answers_in(tables: list, world: World) -> tuple[bool, ...]:
-    """The speakers' truthful answers in `world`, from answer_tables."""
-    return tuple([table[key(world)][0] != MIXED for key, table in tables])
 
 
 # the fewest worlds a state must hold to be answered off codes.  A coded column costs

@@ -464,13 +464,15 @@ def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
     monkeypatch.setattr(engine, "_children", children)
     assert tables_per_split(monkeypatch, sc) == asked
     assert skipped == [True] * 5
-    calls = []
-    real = worlds.answer_tables
-    monkeypatch.setattr(engine, "answer_tables", lambda state, speakers, vis: calls.append(tuple(speakers))
-                        or real(state, speakers, vis))
+    calls, passes = [], []
+    real, generate = engine._Lazy.narrowed, HatsAtLeast.generate
+    monkeypatch.setattr(engine._Lazy, "narrowed", lambda self, speakers, *args: calls.append(tuple(speakers))
+                        or real(self, speakers, *args))
+    monkeypatch.setattr(HatsAtLeast, "generate", lambda self, n: passes.append(n) or generate(self, n))
     with mock.patch.object(engine, "STREAM_THRESHOLD", 0):  # every state stays a stream
         assert run(sc).events == t.events
-    assert calls == asked
+    # one counting pass per step asked, one for the membership check and one for the final candidates
+    assert calls == asked and len(passes) == 9
 
 
 def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():
@@ -515,31 +517,56 @@ def test_stability_rejects_capless_families():
 
 
 def streamed(sc):
-    # a budget below the 1,540-world universe: the run starts on the generator
-    # and materializes once the state fits
+    # a budget below the universe size: the run starts on the generator and
+    # materializes once the state fits
     with mock.patch.object(engine, "STREAM_THRESHOLD", 100):
+        assert engine.run_path(sc, sc.visibility()) == "streamed"
         return run(sc)
 
 
-def test_streamed_run_agrees_with_materialized():
-    sc = Scenario("line", tuple("abcde"), SumInSet((12, 13, 14)), NearLine(),
-                  Circular((0, 1, 2, 3, 4), 4), (1, 10, 1, 1, 1))
+LINE5 = (SumInSet((12, 13, 14)), NearLine(), (1, 10, 1, 1, 1), 1540)
+# seat 0 sees nobody, so its observation key is the empty one
+BLIND7 = (HatsAtLeast(R, 1, 2), Blind(frozenset({0})), (B, R, B, R, R, B, B), 127)
+FULL7 = (HatsAtLeast(R, 1, 2), Full(), (R, B, R, B, B, R, B), 127)
+
+
+@pytest.mark.parametrize("constraint, sight, actual, size", [LINE5, BLIND7, FULL7], ids=["line5", "blind7", "full7"])
+def test_streamed_run_agrees_with_materialized(constraint, sight, actual, size):
+    n = len(actual)
+    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, Circular(tuple(range(n)), 4), actual)
     direct = run(sc)
     lazy = streamed(sc)
-    assert direct.initial_size == lazy.initial_size == 1540
+    assert direct.initial_size == lazy.initial_size == size
     assert direct.events == lazy.events
     assert direct.eventual == lazy.eventual
     assert direct.final_candidates == lazy.final_candidates
 
 
-def test_streamed_simultaneous_agrees():
-    sc = Scenario("line", tuple("abcde"), SumInSet((12, 13, 14)), NearLine(),
-                  Simultaneous(4), (1, 10, 1, 1, 1))
+@pytest.mark.parametrize("constraint, sight, actual, size", [LINE5, BLIND7], ids=["line5", "blind7"])
+def test_streamed_simultaneous_agrees(constraint, sight, actual, size):
+    n = len(actual)
+    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, Simultaneous(4), actual)
     direct = run(sc)
     lazy = streamed(sc)
-    assert direct.initial_size == lazy.initial_size == 1540
+    assert direct.initial_size == lazy.initial_size == size
     assert direct.events == lazy.events
     assert direct.eventual == lazy.eventual
+
+
+@pytest.mark.parametrize("budget", [100, 0])
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("game, simultaneous", [(LINE5, False), (LINE5, True), (BLIND7, True), (FULL7, False)],
+                         ids=["line5-circular", "line5-simultaneous", "blind7-simultaneous", "full7-circular"])
+def test_streamed_counts_do_not_depend_on_the_chunk_size(game, simultaneous, chunk, budget):
+    # line5's actual world is pinned in one step; under budget 0 every state stays a
+    # stream, so each size in the transcript of the 127-world games is read off counts
+    constraint, sight, actual, _ = game
+    n = len(actual)
+    protocol = Simultaneous(4) if simultaneous else Circular(tuple(range(n)), 4)
+    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, actual)
+    direct = run(sc)
+    with mock.patch.object(engine, "CHUNK", chunk), mock.patch.object(engine, "STREAM_THRESHOLD", budget):
+        assert run(sc) == direct
 
 
 def test_profile_evaluator_agrees_with_engine():

@@ -151,15 +151,15 @@ def test_stream_matches_generate():
 def test_stream_with_predicates():
     # scaled version of the ten-person line: forcing the seen value pins the rest
     c = SumInSet((12, 13, 14))
-    picky = list(stream_worlds(c, 5, [lambda w: w[1] == 10]))
+    picky = [w for w in stream_worlds(c, 5) if w[1] == 10]
     assert picky == [(1, 10, 1, 1, 1)]
 
 
 def test_stream_nondivisor_complement():
     c = SumOrProduct(35)
     total = c.count_worlds(3)
-    divisor_only = sum(1 for _ in stream_worlds(c, 3, [lambda w: all(35 % v == 0 for v in w)]))
-    with_nondiv = sum(1 for _ in stream_worlds(c, 3, [lambda w: any(35 % v for v in w)]))
+    divisor_only = sum(1 for w in stream_worlds(c, 3) if all(35 % v == 0 for v in w))
+    with_nondiv = sum(1 for w in stream_worlds(c, 3) if any(35 % v for v in w))
     assert divisor_only + with_nondiv == total
 
 
