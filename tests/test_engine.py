@@ -207,25 +207,29 @@ def test_rotation_quotient_rows_match_runs(n, constraint, sight):
 def test_quotient_leaves_are_symmetric_or_hold_distinct_images():
     # a leaf is symmetric, fixed by the whole seat group, exactly when every
     # element fixes each answer vector it heard, and it then stands for itself
-    # alone; any other leaf stands for distinct images of itself
+    # alone; any other leaf stands for distinct images of itself.  Sweeps and
+    # runs (a few actual worlds of each family) take the same rule
     kinds = set()
     for sight in (NearCircle(), FarCircle(), Full(), NearLine()):
         for n, constraint in PERIODIC:
             family = periodic(n, constraint, sight, Simultaneous(10))
+            universe = family.universe()
             group = engine._sweep_group(family.visibility(), True)
-            for branch, _ in engine._play(family, family.universe(), group=group):
-                heard = [tuple(answer for *_, answer, _ in branch.events[i:i + n])
-                         for i in range(0, len(branch.events), n)]
-                fixed = all(act(answers) == answers for answers in heard for act in group.acts)
-                elements = [e for e, _ in branch.images]
-                assert branch.symmetric == fixed
-                if branch.symmetric:
-                    assert elements == [0]
-                else:
-                    assert len(set(elements)) == len(elements)
-                kinds.add((type(sight).__name__, branch.symmetric))
-    assert {(name, symmetric) for name in ("NearCircle", "FarCircle", "Full", "NearLine")
-            for symmetric in (True, False)} <= kinds
+            plays = [("sweep", engine._play(family, universe, group=group))]
+            for w in list(universe)[::len(universe) // 4]:
+                plays.append(("run", engine._play(dataclasses.replace(family, actual=w), universe, group, w)))
+            for kind, leaves in plays:
+                for branch, _ in leaves:
+                    fixed = all(act(answers) == answers for *_, answers, _ in branch.steps for act in group.acts)
+                    symmetric = len(branch.images) == 1
+                    assert symmetric == fixed
+                    if symmetric:
+                        assert branch.images == [0]
+                    else:
+                        assert len(set(branch.images)) == len(branch.images)
+                    kinds.add((type(sight).__name__, kind, symmetric))
+    assert {(name, kind, symmetric) for name in ("NearCircle", "FarCircle", "Full", "NearLine")
+            for kind in ("sweep", "run") for symmetric in (True, False)} <= kinds
 
 
 @pytest.mark.parametrize("sight,protocol,order", [
