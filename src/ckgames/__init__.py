@@ -40,7 +40,6 @@ from .scenarios import (
     ZeroOne,
     gen_universe,
     gen_visibility,
-    stream_worlds,
 )
 from .engine import (
     EngineError,

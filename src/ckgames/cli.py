@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     p_verify.add_argument(
         "--timings", action="store_true",
         help="print each fixture's wall time and the path its run took "
-        "(profiles, materialized or streamed; see engine.run_path) to stderr",
+        "(profiles, materialized or blocks; see engine.run_path) to stderr",
     )
 
     p_sweep = sub.add_parser("sweep", help="run every world of a family (sweep marker)")

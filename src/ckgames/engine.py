@@ -11,8 +11,8 @@ first-time YES), or at the horizon.
 without one yields "unknown".
 
 A run or a sweep of a simultaneous game in which every seat sees every other
-plays the same loop over value profiles instead of worlds (see run_path and
-_ProfileCell); a sweep then reads each world's row off its profile's leaf.
+plays the same loop over value profiles (see run_path and _ProfileCell), and
+any other run above STREAM_THRESHOLD worlds over block profiles (_Blocks).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
@@ -33,7 +33,9 @@ from .worlds import (
     SeatGroup,
     VisibilityGraph,
     World,
+    _key_fn,
     answer_str,
+    own_table,
     partition,
 )
 
@@ -115,7 +117,7 @@ STREAM_THRESHOLD = 500_000
 
 
 class _Branch(NamedTuple):
-    state: object  # KnowledgeState, _Lazy while too large to hold, or _ProfileCell
+    state: object  # KnowledgeState, _Blocks while too large to hold, or _ProfileCell
     steps: tuple[tuple, ...]  # (round, turn, speakers, answers, state size) per announcement step
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
     # the seat-group elements that move this branch onto the cells it stands for: [0] alone
@@ -146,68 +148,96 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
     return SeatGroup(vis, generators)
 
 
-# the worlds a streamed step counts at a time; a step holds one chunk and, per
-# speaker, one entry per distinct observation key
-CHUNK = 2048
+class _Blocks:
+    """The worlds that every announcement so far keeps, as block profiles: the counter abstraction
+    of _ProfileCell over a partition of the seats that refines as seats speak; no world is generated.
 
-
-class _Lazy:
-    """The constraint's worlds that every announcement so far keeps, generated afresh on each pass.
-
-    Each speaker's announcement is a pair: its observation-key function and
-    the frozenset of keys under which it answered as in the actual world.  A
-    pass keeps the worlds whose keys are all accepted, through
-    itertools.compress and C-level key functions; no world is held.
+    The state is closed under the permutations within each block; the root is
+    the constraint's profiles in one block (see scenarios).  A profile holds
+    one sorted value tuple per block, in block order, and stands for
+    prod_b |b|! / prod_v m_v! worlds, with m_v copies of v in block b.
     """
 
-    def __init__(self, constraint, n: int, kept: tuple, size: int):
-        self.constraint = constraint
-        self.n = n
-        self.kept = kept  # (key function, accepted keys) per speaker of each step so far
+    def __init__(self, blocks: tuple, live: list, size: int):
+        self.blocks = blocks  # seat tuples, in profile order
+        self.live = live
         self.size = size
+
+    @classmethod
+    def root(cls, scenario: scenarios.Scenario) -> "_Blocks":
+        n, size = scenario.n_agents, scenario.constraint.count_worlds(scenario.n_agents)
+        live = _capped(zip(scenario.constraint.profiles(n)), size, (tuple(range(n)),))
+        if (tuple(sorted(scenario.actual)),) not in live:
+            raise EngineError(_NOT_A_MEMBER)
+        return cls((tuple(range(n)),), live, size)
 
     def __len__(self) -> int:
         return self.size
 
-    def __iter__(self):
-        stream = scenarios.stream_worlds(self.constraint, self.n)
-        for key, accepted in self.kept:
-            stream, probe = itertools.tee(stream)
-            stream = itertools.compress(stream, map(accepted.__contains__, map(key, probe)))
-        return stream
-
     def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
-        """[(the actual world's answers, the worlds giving the same answers)].
+        """[(the actual world's answers, the worlds giving the same answers)], held once they fit.
 
-        One pass counts each speaker's (observation key, own value) pairs,
-        CHUNK worlds at a time, into its key's own value (MIXED where it
-        varies) and count.  One speaker's kept size is a sum of the counts; a
-        simultaneous round counts in one more pass, keeping the worlds if they
-        fit.  The result is materialized once it fits.
+        Each speaker s splits every block into s, the seats s sees and the
+        rest, and each profile is dealt into the finer blocks in every
+        distinct way.  s then knows its value where the profiles that agree
+        on its seen blocks hold one value at s (own_table keyed by them).
         """
-        tables = [(vis.keys[agent], itemgetter(agent), {}, Counter()) for agent in speakers]
-        stream = iter(self)
-        for chunk in iter(lambda: list(itertools.islice(stream, CHUNK)), []):
-            for key, own, table, counts in tables:
-                for (k, v), count in Counter(zip(map(key, chunk), map(own, chunk))).items():
-                    counts[k] += count
-                    if table.setdefault(k, v) != v:
-                        table[k] = MIXED
-        announced = tuple([table[key(actual)] != MIXED for key, _, table, _ in tables])
-        pairs = tuple([
-            (key, frozenset([k for k, v in table.items() if (v != MIXED) == said]))
-            for (key, _, table, _), said in zip(tables, announced)
-        ])
-        kept = worlds = _Lazy(self.constraint, self.n, self.kept + pairs, 0)
-        if len(speakers) == 1:
-            kept.size = sum(map(tables[0][3].__getitem__, pairs[0][1]))  # its accepted keys' counts
-        else:
-            stream = iter(kept)
-            worlds = list(itertools.islice(stream, STREAM_THRESHOLD + 1))
-            kept.size = len(worlds) + sum(1 for _ in stream)
-        if kept.size <= STREAM_THRESHOLD:
-            return [(announced, KnowledgeState(tuple(worlds)))]  # streams yield strictly increasing worlds
-        return [(announced, kept)]
+        blocks = self.blocks
+        for s in speakers:
+            blocks = tuple([part for b in blocks for part in ((s,) if s in b else (), tuple(
+                [i for i in b if i in vis.sees[s]]), tuple([i for i in b if i != s and i not in vis.sees[s]])) if part])
+        live = _capped(_dealt(self.live, self.blocks, blocks), self.size, blocks)
+        mine = tuple([tuple(sorted(map(actual.__getitem__, b))) for b in blocks])
+        announced, keep = [], itertools.repeat(True)
+        for s in speakers:
+            key = _key_fn(tuple([k for k, b in enumerate(blocks) if b[0] in vis.sees[s]]))
+            keys = list(map(key, live))
+            table = own_table(keys, live, blocks.index((s,)))
+            announced.append(table[key(mine)] != MIXED)
+            keep = list(map(and_, keep, [(table[k] != MIXED) == announced[-1] for k in keys]))
+        live = list(itertools.compress(live, keep))
+        seats = math.prod(map(math.factorial, map(len, blocks)))
+        size = sum([seats // math.prod(map(_repeats, prof)) for prof in live])
+        if size > STREAM_THRESHOLD:
+            return [(tuple(announced), _Blocks(blocks, live, size))]
+        placed = itemgetter(*sorted(range(len(actual)), key=[i for b in blocks for i in b].__getitem__))
+        singles = _dealt(live, blocks, tuple([(i,) for b in blocks for i in b]))  # one value per seat
+        return [(tuple(announced), KnowledgeState(tuple(sorted([placed(sum(prof, ())) for prof in singles]))))]
+
+    def candidates(self) -> list[set[int]]:
+        """Each seat's values: those of its block in the surviving profiles."""
+        held = [{v for prof in self.live for v in prof[k]} for k in range(len(self.blocks))]
+        block_of = {seat: k for k, b in enumerate(self.blocks) for seat in b}
+        return [held[block_of[seat]] for seat in sorted(block_of)]
+
+
+def _capped(profiles: Iterable, size: int, blocks: tuple) -> list:
+    """The profiles of `size` worlds over `blocks`, refused with EngineError past scenarios.MATERIALIZE_LIMIT:
+    before any is made when `size` over the most worlds a profile stands for, prod_b |b|!, is past it."""
+    limit = scenarios.MATERIALIZE_LIMIT
+    least = size // math.prod(map(math.factorial, map(len, blocks)))
+    held = [] if least > limit else list(itertools.islice(profiles, limit + 1))
+    if least > limit or len(held) > limit:
+        raise EngineError(f"{size} worlds need at least {max(least, len(held))} block profiles over "
+                          f"{len(blocks)} blocks, more than the limit of {limit}")
+    return held
+
+
+def _dealt(live: list, blocks: tuple, parts: tuple):
+    """Each profile over `blocks` dealt into the finer blocks `parts` in every distinct way, lazily."""
+    sizes = [tuple([len(p) for p in parts if p[0] in b]) for b in blocks]
+
+    @functools.cache
+    def deals(values, sizes):  # a sorted value tuple -> its distinct deals into sorted parts of `sizes`
+        if len(sizes) == 1:
+            return [(values,)]
+        # combinations picks positions in lex order: the i-th pick leaves the i-th from last of the rest's size
+        rests = reversed(list(itertools.combinations(values, len(values) - sizes[0])))
+        return [(head,) + tail for head, rest in dict(zip(itertools.combinations(values, sizes[0]), rests)).items()
+                for tail in deals(rest, sizes[1:])]
+
+    for prof in live:
+        yield from map(tuple, map(itertools.chain.from_iterable, itertools.product(*map(deals, prof, sizes))))
 
 
 class _ProfileCell:
@@ -356,7 +386,7 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, group: SeatGroup, 
     """One child per part of the branch's state after `speakers` answer truthfully.
 
     With an actual world, only the child holding it; a state that is not
-    held (a _Lazy or a _ProfileCell) narrows itself to its parts.  Every
+    held (a _Blocks or a _ProfileCell) narrows itself to its parts.  Every
     element of the group maps a branch with images [0] onto itself, so it
     moves each part onto the part with the moved answers, and the split
     builds tables for one seat per orbit (see worlds.partition).  Such a
@@ -424,40 +454,29 @@ def run(scenario: scenarios.Scenario) -> Transcript:
     The root is the one run_path names.  A simultaneous game in which every
     seat sees every other is played over sorted value profiles with their
     multiplicities (see _ProfileCell), under the identity, and never builds
-    its universe.  Any other game is played over worlds, held up to
-    STREAM_THRESHOLD and streamed above (see _Lazy), and quotiented like a
-    sweep by _sweep_group.
+    its universe.  Any other game is played over worlds held up to
+    STREAM_THRESHOLD, and over block profiles above it (see _Blocks) until
+    they fit, and quotiented like a sweep by _sweep_group.
     """
     scenario.validate()
     actual = scenario.actual
     if actual is None:
         raise EngineError("scenario has a free actual world; use sweep instead")
-    n = scenario.n_agents
     vis = scenario.visibility()
     simultaneous = isinstance(scenario.protocol, scenarios.Simultaneous)
     path = run_path(scenario, vis)
     if path == "profiles":
         root, group = _ProfileCell.root(scenario), SeatGroup(vis)
     else:
-        if path == "streamed":
-            root = _Lazy(scenario.constraint, n, (), scenario.constraint.count_worlds(n))
-        else:
-            root = scenario.universe()
-        # the universe is closed under seat permutations (see scenarios), so it holds the
-        # actual world exactly when it holds its sorted profile, the least of its permutations,
-        # which a stream in canonical order yields no later than the actual world
-        if tuple(sorted(actual)) not in root:
+        root = _Blocks.root(scenario) if path == "blocks" else scenario.universe()
+        # a universe is closed under seat permutations (see scenarios), so it holds the
+        # actual world exactly when it holds its sorted profile; _Blocks.root checks its own
+        if path == "materialized" and tuple(sorted(actual)) not in root:
             raise EngineError(_NOT_A_MEMBER)
         group = _sweep_group(vis, simultaneous)
     ((branch, stabilized),) = _play(scenario, root, group, actual)
     state = branch.state
-    if isinstance(state, _ProfileCell):
-        seen = state.candidates()
-    else:
-        seen = [set() for _ in range(n)]
-        for w in state:
-            for values, v in zip(seen, w):
-                values.add(v)
+    seen = map(set, zip(*state)) if isinstance(state, KnowledgeState) else state.candidates()
     return Transcript(
         scenario=scenario.name,
         agents=scenario.agents,
@@ -468,24 +487,22 @@ def run(scenario: scenarios.Scenario) -> Transcript:
             for rnd, turn, speakers, answers, size in branch.steps
             for agent, answer in zip(speakers, answers)
         ]),
-        eventual=_classify(n, branch.first_yes, stabilized),
+        eventual=_classify(scenario.n_agents, branch.first_yes, stabilized),
         stabilized_at=stabilized,
         final_candidates=tuple(tuple(sorted(values)) for values in seen),
     )
 
 
 def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
-    """How run plays the scenario over its sight graph `vis`: "profiles", "materialized" or "streamed".
+    """How run plays the scenario over its sight graph `vis`: "profiles", "materialized" or "blocks".
 
     "profiles" when the protocol is simultaneous and every seat sees every
     other, whatever the sight model that drew the graph; otherwise
-    "streamed" above STREAM_THRESHOLD worlds and "materialized" up to it.
+    "blocks" above STREAM_THRESHOLD worlds and "materialized" up to it.
     """
     if isinstance(scenario.protocol, scenarios.Simultaneous) and len(vis.full_sight) == vis.n_agents:
         return "profiles"
-    if scenario.constraint.count_worlds(scenario.n_agents) > STREAM_THRESHOLD:
-        return "streamed"
-    return "materialized"
+    return "blocks" if scenario.constraint.count_worlds(scenario.n_agents) > STREAM_THRESHOLD else "materialized"
 
 
 _NOT_A_MEMBER = "actual world is not a member of the generated universe"
@@ -525,10 +542,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     A simultaneous game in which every seat sees every other (run_path's
     "profiles") is refined over value profiles, one leaf per sorted class
     multiset, and each world's row is read off its profile's leaf (see
-    _profile_rows).  Best of 40 on a 2-core VM, the 2,047 worlds of 11
-    hat-wearing seats took 17 ms this way against 32 ms from the world root;
-    the 86,464 worlds of MaxDiffExact(3, 34) on 6 seats over 20 rounds took
-    0.29 s against 1.8 s (best of 5).
+    _profile_rows; README gives its timings against the world root).
 
     Any other simultaneous game is quotiented by the seat permutations that
     map its sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996):
@@ -701,8 +715,8 @@ def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
 # symmetric systems (Emerson & Sistla 1996; Pnueli, Xu & Zuck 2002).  run
 # and sweep play full-sight simultaneous games over this table (see
 # _ProfileCell), so neither is an independent check of it.  The tests hold
-# it against the same runs from a held or streamed universe, against sweeps
-# from the world root, and against a knows_own replay.
+# it against the same runs from a held universe or block profiles, against
+# sweeps from the world root, and against a knows_own replay.
 
 
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:

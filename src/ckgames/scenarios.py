@@ -471,14 +471,9 @@ def gen_universe(constraint: Constraint, n: int) -> KnowledgeState:
     count = constraint.count_worlds(n)
     if count > MATERIALIZE_LIMIT:
         raise GenerationError(
-            f"universe has {count} worlds; use stream_worlds for families this large"
+            f"universe has {count} worlds, more than the {MATERIALIZE_LIMIT} a held universe may have"
         )
     return KnowledgeState(tuple(constraint.generate(n)))  # generators yield strictly increasing worlds
-
-
-def stream_worlds(constraint: Constraint, n: int) -> Iterator[World]:
-    """The worlds of gen_universe in canonical order, generated one at a time and never held."""
-    return iter(constraint.generate(n))
 
 
 def needs_cap(constraint: Constraint | type) -> bool:

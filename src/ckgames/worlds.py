@@ -10,9 +10,8 @@ The announcement kernel, partition (split keeps its worlds alone), answers a
 speaker who sees only some seats through a table of its observation keys, and
 a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
 off the state's worlds packed into integers (see encode).  A state too large
-to hold is engine._Lazy: each announcement is kept as a speaker's key function
-(VisibilityGraph.keys) with the set of its accepted keys, so a pass keeps a
-world when every key it gives is accepted.
+to hold is engine._Blocks: own_table answers its block profiles as it answers
+worlds, keyed by _key_fn over the blocks a speaker sees.
 """
 
 from __future__ import annotations

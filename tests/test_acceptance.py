@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The streamed ten-person line fixture, the world-root sweep of the
-criterion-11 family, and the criterion-02 and criterion-11 grids at their
-largest sizes are marked slow; run them explicitly with `pytest -m slow`.
+The world-root sweep of the criterion-11 family and the criterion-02 and
+criterion-11 grids at their largest sizes are marked slow; run them
+explicitly with `pytest -m slow`.
 """
 
 import json
@@ -530,15 +530,33 @@ def test_criterion_15_line_sum_scaled():
     ok(15, "line-sum scaled variant: full materialization, all YES in round one")
 
 
-@pytest.mark.slow
-def test_criterion_15_line_sum_streamed_slow():
-    sc = Scenario("line10", agents(10), SumInSet((30, 31, 32)), NearLine(),
-                  Circular(tuple(range(10)), 3), (1, 23) + (1,) * 8)
-    t = run(sc)
+def test_criterion_15_line_sum_block_profiles():
+    # the ten-person line over block profiles, never generating a world: the root
+    # holds the 1,990 profiles of one block; seat 0's step deals them into 36,053
+    # over the blocks {0}, {1} and the rest, and keeps the actual world alone,
+    # which is held from then on
+    sc = dsl.parse_file(str(FIXTURES / "line10_puzzle8.slow.ck"))
+    assert sc.constraint == SumInSet((30, 31, 32)) and sc.sight == NearLine()
+    assert sc.actual == (1, 23) + (1,) * 8
+    held, real = [], engine._capped
+
+    def capped(profiles, size, blocks):
+        out = real(profiles, size, blocks)
+        held.append((size, len(blocks), len(out)))
+        return out
+
+    with mock.patch.object(SumInSet, "generate", side_effect=AssertionError("generate was called")), \
+            mock.patch.object(engine, "_capped", capped):
+        assert engine.run_path(sc, sc.visibility()) == "blocks"
+        t = run(sc)
+    assert held == [(44482230, 1, 1990), (44482230, 3, 36053)]
     assert t.initial_size == 44482230
+    assert [e.state_size for e in t.events] == [1] * 10
     assert t.answers_by_turn() == [True] * 10
     assert t.stabilized_at == 1
-    ok(15, "ten-person line: 44.5M-world streamed run, all YES in the first round")
+    assert dsl.match_expectation(dsl.parse_expected_file(str(FIXTURES / "line10_puzzle8.slow.expect")),
+                                 t, sc.alphabet) == []
+    ok(15, "ten-person line: 44.5M worlds over 1,990 then 36,053 block profiles, all YES in the first round")
 
 
 # -- 16 ------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_contract_violation_is_a_clean_refusal(capsys, monkeypatch, argv):
 
 def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
     # one fixture passes, one fails its expectation, one has no expectation;
-    # with a budget of 5 worlds blind_red_circular (7 worlds) starts streamed,
+    # with a budget of 5 worlds blind_red_circular (7 worlds) starts on block profiles,
     # nearsighted_sim_n4 (4 worlds) is held and intro_two_reds, a full-sight
     # simultaneous game, is played over value profiles whatever its size
     for name in ("blind_red_circular", "intro_two_reds", "nearsighted_sim_n4"):
@@ -140,7 +140,7 @@ def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
     assert timed[1].out == plain[1].out
     times = [line.split() for line in timed[1].err.splitlines() if line.startswith("time  ")]
     assert [(t[1], t[3], t[4:]) for t in times] == [
-        ("blind_red_circular.ck", "s", ["streamed"]), ("intro_two_reds.ck", "s", ["profiles"]),
+        ("blind_red_circular.ck", "s", ["blocks"]), ("intro_two_reds.ck", "s", ["profiles"]),
         ("lone.ck", "s", ["not", "run"]), ("nearsighted_sim_n4.ck", "s", ["materialized"]),
     ]
     assert all(float(t[2]) >= 0 for t in times)
@@ -272,6 +272,23 @@ def test_sweep_refuses_a_family_above_the_stream_threshold(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: family too large to sweep without streaming support\n"
+
+
+@pytest.mark.parametrize("protocol, message", [
+    ("simultaneous rounds 4", "1540 worlds need at least 1540 block profiles over 5 blocks, more than the limit of 300"),
+    ("circular order [ aidan josh c d e ] rounds 4", "1540 worlds need at least 301 block profiles over 3 blocks, more than the limit of 300"),
+], ids=["simultaneous", "circular"])
+def test_run_refuses_a_block_cell_past_the_materialize_limit(tmp_path, capsys, monkeypatch, protocol, message):
+    # line5's 1,540 worlds on block profiles, with at most 300 profiles to a cell
+    text = (FIXTURES / "line5_scaled.ck").read_text()
+    text = text.replace("circular order [ aidan josh c d e ] rounds 4", protocol).replace("[ 1 10 1 1 1 ]", "[ 3 3 2 2 2 ]")
+    (tmp_path / "line5.ck").write_text(text)
+    monkeypatch.setattr(engine, "STREAM_THRESHOLD", 100)
+    monkeypatch.setattr(scenarios, "MATERIALIZE_LIMIT", 300)
+    assert main(["run", str(tmp_path / "line5.ck")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_sweep_emperor(capsys):

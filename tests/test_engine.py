@@ -1,4 +1,4 @@
-"""Protocol runs, sweeps, streaming, stability, and the profile evaluator."""
+"""Protocol runs, sweeps, block cells, stability, and the profile evaluator."""
 
 import dataclasses
 import hashlib
@@ -443,8 +443,8 @@ def replay_turns(sc):
 def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
     # the blind seat 0 learns in round 2, seats 2 and 3 in round 1, and all
     # three speak again: a step whose speaker has said YES builds no column
-    # (held: a table for seat 0, coded columns for the others) and no streamed
-    # table, and the run still gives the reference's transcript
+    # (held: a table for seat 0, coded columns for the others) and deals no
+    # block profile, and the run still gives the reference's transcript
     sc = Scenario("b", tuple("abcd"), HatsAtLeast(R, 1, 2), Blind(frozenset({0})), Circular((0, 1, 2, 3), 6),
                   (B, R, R, B))
     t = run(sc)
@@ -469,14 +469,14 @@ def test_a_seat_that_said_yes_is_not_asked_again(monkeypatch):
     assert tables_per_split(monkeypatch, sc) == asked
     assert skipped == [True] * 5
     calls, passes = [], []
-    real, generate = engine._Lazy.narrowed, HatsAtLeast.generate
-    monkeypatch.setattr(engine._Lazy, "narrowed", lambda self, speakers, *args: calls.append(tuple(speakers))
+    real, generate = engine._Blocks.narrowed, HatsAtLeast.generate
+    monkeypatch.setattr(engine._Blocks, "narrowed", lambda self, speakers, *args: calls.append(tuple(speakers))
                         or real(self, speakers, *args))
     monkeypatch.setattr(HatsAtLeast, "generate", lambda self, n: passes.append(n) or generate(self, n))
-    with mock.patch.object(engine, "STREAM_THRESHOLD", 0):  # every state stays a stream
+    with mock.patch.object(engine, "STREAM_THRESHOLD", 0):  # every state stays a block cell
         assert run(sc).events == t.events
-    # one counting pass per step asked, one for the membership check and one for the final candidates
-    assert calls == asked and len(passes) == 9
+    # one narrowing per step asked, and no world generated
+    assert calls == asked and passes == []
 
 
 def test_sweep_group_is_made_once_per_sight_graph_and_protocol_kind():
@@ -520,11 +520,11 @@ def test_stability_rejects_capless_families():
         stability_check(sc, 10)
 
 
-def streamed(sc):
-    # a budget below the universe size: the run starts on the generator and
-    # materializes once the state fits
-    with mock.patch.object(engine, "STREAM_THRESHOLD", 100):
-        assert engine.run_path(sc, sc.visibility()) == "streamed"
+def on_blocks(sc, budget=100):
+    # a budget below the universe size: the run starts on block profiles and
+    # is held once the state fits; under budget 0 no state is ever held
+    with mock.patch.object(engine, "STREAM_THRESHOLD", budget):
+        assert engine.run_path(sc, sc.visibility()) == "blocks"
         return run(sc)
 
 
@@ -534,43 +534,73 @@ BLIND7 = (HatsAtLeast(R, 1, 2), Blind(frozenset({0})), (B, R, B, R, R, B, B), 12
 FULL7 = (HatsAtLeast(R, 1, 2), Full(), (R, B, R, B, B, R, B), 127)
 
 
+@pytest.mark.parametrize("budget", [100, 0])
 @pytest.mark.parametrize("constraint, sight, actual, size", [LINE5, BLIND7, FULL7], ids=["line5", "blind7", "full7"])
-def test_streamed_run_agrees_with_materialized(constraint, sight, actual, size):
+def test_streamed_run_agrees_with_materialized(constraint, sight, actual, size, budget):
+    # line5's actual world is pinned in one step; under budget 0 every state stays a
+    # block cell, so each size in the transcript of the 127-world games is a sum of weights
     n = len(actual)
     sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, Circular(tuple(range(n)), 4), actual)
     direct = run(sc)
-    lazy = streamed(sc)
-    assert direct.initial_size == lazy.initial_size == size
-    assert direct.events == lazy.events
-    assert direct.eventual == lazy.eventual
-    assert direct.final_candidates == lazy.final_candidates
-
-
-@pytest.mark.parametrize("constraint, sight, actual, size", [LINE5, BLIND7], ids=["line5", "blind7"])
-def test_streamed_simultaneous_agrees(constraint, sight, actual, size):
-    n = len(actual)
-    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, Simultaneous(4), actual)
-    direct = run(sc)
-    lazy = streamed(sc)
-    assert direct.initial_size == lazy.initial_size == size
-    assert direct.events == lazy.events
-    assert direct.eventual == lazy.eventual
+    assert direct.initial_size == size
+    assert on_blocks(sc, budget) == direct
 
 
 @pytest.mark.parametrize("budget", [100, 0])
-@pytest.mark.parametrize("chunk", [1, 7])
-@pytest.mark.parametrize("game, simultaneous", [(LINE5, False), (LINE5, True), (BLIND7, True), (FULL7, False)],
-                         ids=["line5-circular", "line5-simultaneous", "blind7-simultaneous", "full7-circular"])
-def test_streamed_counts_do_not_depend_on_the_chunk_size(game, simultaneous, chunk, budget):
-    # line5's actual world is pinned in one step; under budget 0 every state stays a
-    # stream, so each size in the transcript of the 127-world games is read off counts
-    constraint, sight, actual, _ = game
+@pytest.mark.parametrize("constraint, sight, actual, size", [LINE5, BLIND7], ids=["line5", "blind7"])
+def test_streamed_simultaneous_agrees(constraint, sight, actual, size, budget):
     n = len(actual)
-    protocol = Simultaneous(4) if simultaneous else Circular(tuple(range(n)), 4)
-    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, actual)
+    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, Simultaneous(4), actual)
     direct = run(sc)
-    with mock.patch.object(engine, "CHUNK", chunk), mock.patch.object(engine, "STREAM_THRESHOLD", budget):
-        assert run(sc) == direct
+    assert direct.initial_size == size
+    assert on_blocks(sc, budget) == direct
+
+
+def test_a_block_cell_hands_off_its_kept_worlds_in_lex_order(monkeypatch):
+    # line5 under a budget of 1,530 worlds: seats 0 and 1 keep 1,539 and 1,529 of its
+    # 1,540, so the first step stays on block profiles and the second is held
+    constraint, sight, _, _ = LINE5
+    sc = Scenario("s", tuple("abcde"), constraint, sight, Circular(tuple(range(5)), 4), (3, 3, 2, 2, 2))
+    kept, real = [], engine._Blocks.narrowed
+
+    def narrowed(self, *args):
+        parts = real(self, *args)
+        kept.append(parts[0][1])
+        return parts
+
+    monkeypatch.setattr(engine._Blocks, "narrowed", narrowed)
+    monkeypatch.setattr(engine, "STREAM_THRESHOLD", 1530)
+    t = run(sc)
+    assert [type(state) for state in kept] == [engine._Blocks, worlds.KnowledgeState]
+    state, vis = sc.universe(), sc.visibility()
+    for e in t.events[:2]:
+        state = worlds.filter_turn(state, e.agent, e.answer, vis)
+    assert len(kept[0]) == 1539 and kept[1].worlds == state.worlds and len(state) == 1529
+
+
+@pytest.mark.parametrize("protocol, step", [(Simultaneous(4), 0), (Circular(tuple(range(5)), 4), 1)],
+                         ids=["simultaneous", "circular"])
+def test_a_block_cell_past_the_materialize_limit_is_refused(protocol, step):
+    # line5 over 300 profiles at most: a simultaneous step splits every seat off, so its
+    # 1,540 worlds need 1,540 profiles and are refused before any is dealt; the circular
+    # step by seat 0 (blocks {0}, {1}, {2, 3, 4}) needs at least 1540 // 3! = 256 and deals
+    # 420, so it is refused at the cap
+    constraint, sight, _, _ = LINE5
+    sc = Scenario("s", tuple("abcde"), constraint, sight, protocol, (3, 3, 2, 2, 2))
+    dealt, real = [], engine._dealt
+
+    def counted(*args):
+        for prof in real(*args):
+            dealt.append(prof)
+            yield prof
+
+    with mock.patch.object(scenarios, "MATERIALIZE_LIMIT", 300), mock.patch.object(engine, "STREAM_THRESHOLD", 0), \
+            mock.patch.object(engine, "_dealt", counted):
+        message = ("1540 worlds need at least 1540 block profiles over 5 blocks, more than the limit of 300",
+                   "1540 worlds need at least 301 block profiles over 3 blocks, more than the limit of 300")[step]
+        with pytest.raises(EngineError, match=message):
+            run(sc)
+    assert len(dealt) == (0, 301)[step]
 
 
 def test_profile_evaluator_agrees_with_engine():
@@ -621,21 +651,21 @@ def test_full_sight_run_above_the_materialize_limit_never_generates():
 @pytest.mark.parametrize("sight, protocol, path", [
     (Full(), Simultaneous(4), "profiles"),
     (NearLine(), Simultaneous(4), "materialized"),
-    (NearLine(), Simultaneous(4), "streamed"),
-    (NearLine(), Circular((0, 1, 2), 4), "streamed"),
-    (Full(), Circular((0, 1, 2), 4), "streamed"),
-], ids=["profiles", "held", "streamed-line", "streamed-line-circular", "streamed-full-circular"])
+    (NearLine(), Simultaneous(4), "blocks"),
+    (NearLine(), Circular((0, 1, 2), 4), "blocks"),
+    (Full(), Circular((0, 1, 2), 4), "blocks"),
+], ids=["profiles", "held", "blocks-line", "blocks-line-circular", "blocks-full-circular"])
 def test_an_actual_world_missing_from_the_universe_is_refused(sight, protocol, path):
     # a constraint whose enumeration leaves out a world it accepts, from each
-    # root run_path names; 7 worlds are streamed above a threshold of 2
+    # root run_path names; 7 worlds are played on block profiles above a threshold of 2
     sc = Scenario("m", ("a", "b", "c"), HatsAtLeast(R, 1, 2), sight, protocol, (R, B, B))
-    method = "profiles" if path == "profiles" else "generate"
+    method = "generate" if path == "materialized" else "profiles"
     real = getattr(HatsAtLeast, method)
 
     def missing(self, n):
         return (w for w in real(self, n) if sorted(w) != sorted(sc.actual))
 
-    threshold = 2 if path == "streamed" else engine.STREAM_THRESHOLD
+    threshold = 2 if path == "blocks" else engine.STREAM_THRESHOLD
     with mock.patch.object(HatsAtLeast, method, missing), mock.patch.object(engine, "STREAM_THRESHOLD", threshold):
         assert engine.run_path(sc, sc.visibility()) == path
         with pytest.raises(EngineError, match="actual world is not a member of the generated universe"):

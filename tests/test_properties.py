@@ -336,8 +336,8 @@ def small_families(draw):
 @settings(max_examples=25, deadline=None)
 @given(small_families(), st.data())
 def test_run_streamed_run_and_sweep_agree(family, data):
-    # every world three ways: a materialized run, a run that starts on the
-    # generator (a world budget below the universe size) and its sweep row.
+    # every world three ways: a materialized run, a run that starts on block
+    # profiles (a world budget below the universe size) and its sweep row.
     # A full-sight simultaneous family takes the profile path both times, so
     # its sweep rows are taken from the world root
     with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
@@ -444,13 +444,13 @@ def full_sight_families(draw):
 @given(full_sight_families())
 def test_profile_path_matches_world_path(family):
     # every world of the family, played by run from each of its three roots:
-    # value profiles, the held universe and the streamed universe
+    # value profiles, the held universe and block profiles
     vis = family.visibility()
     for actual in gen_universe(family.constraint, family.n_agents):
         sc = dataclasses.replace(family, actual=actual)
         assert engine.run_path(sc, vis) == "profiles"
         played = []
-        for path in ("profiles", "materialized", "streamed"):
+        for path in ("profiles", "materialized", "blocks"):
             with mock.patch.object(engine, "run_path", lambda sc, vis: path):
                 played.append(run(sc))
         assert played[0] == played[1] == played[2], actual

@@ -1,4 +1,4 @@
-"""Universe generation, visibility models, and streaming."""
+"""Universe generation, visibility models, and the materialize limit."""
 
 import itertools
 import math
@@ -27,7 +27,6 @@ from ckgames.scenarios import (
     ZeroOne,
     gen_universe,
     gen_visibility,
-    stream_worlds,
 )
 
 
@@ -137,29 +136,30 @@ def test_gen_universe_refuses_more_worlds_than_the_materialize_limit(monkeypatch
     # the limit is checked against the count, before any world is generated
     monkeypatch.setattr(scenarios, "MATERIALIZE_LIMIT", 6)
     monkeypatch.setattr(HatsAtLeast, "generate", lambda self, n: pytest.fail("generated a refused universe"))
-    with pytest.raises(GenerationError, match="universe has 7 worlds; use stream_worlds"):
+    with pytest.raises(GenerationError, match="universe has 7 worlds, more than the 6 a held universe may have"):
         gen_universe(HatsAtLeast(0, 1, 2), 3)
     monkeypatch.setattr(scenarios, "MATERIALIZE_LIMIT", 7)
     assert len(gen_universe(HatsExactly(0, 1, 2), 7)) == 7
 
 
-def test_stream_matches_generate():
+def test_generate_yields_strictly_increasing_worlds():
     c = SumOrProduct(18)
-    assert list(stream_worlds(c, 3)) == list(c.generate(3))
+    made = list(c.generate(3))
+    assert made == sorted(set(made)) and len(made) == c.count_worlds(3)
 
 
-def test_stream_with_predicates():
+def test_generate_with_predicates():
     # scaled version of the ten-person line: forcing the seen value pins the rest
     c = SumInSet((12, 13, 14))
-    picky = [w for w in stream_worlds(c, 5) if w[1] == 10]
+    picky = [w for w in c.generate(5) if w[1] == 10]
     assert picky == [(1, 10, 1, 1, 1)]
 
 
-def test_stream_nondivisor_complement():
+def test_generate_nondivisor_complement():
     c = SumOrProduct(35)
     total = c.count_worlds(3)
-    divisor_only = sum(1 for w in stream_worlds(c, 3) if all(35 % v == 0 for v in w))
-    with_nondiv = sum(1 for w in stream_worlds(c, 3) if any(35 % v for v in w))
+    divisor_only = sum(1 for w in c.generate(3) if all(35 % v == 0 for v in w))
+    with_nondiv = sum(1 for w in c.generate(3) if any(35 % v for v in w))
     assert divisor_only + with_nondiv == total
 
 
