@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from unittest import mock
 
@@ -601,6 +602,62 @@ def test_a_block_cell_past_the_materialize_limit_is_refused(protocol, step):
         with pytest.raises(EngineError, match=message):
             run(sc)
     assert len(dealt) == (0, 301)[step]
+
+
+@pytest.mark.parametrize("profile, blocks, parts", [
+    (((1, 2, 3, 4),), ((0, 1, 2, 3),), ((0,), (1, 2), (3,))),
+    (((1, 1, 2, 2, 3),), ((0, 1, 2, 3, 4),), ((2,), (0, 1), (3, 4))),
+    (((5, 5, 5),), ((0, 1, 2),), ((0,), (1, 2))),
+    (((1, 2), (3, 3, 4)), ((0, 1), (2, 3, 4)), ((0,), (1,), (2,), (3, 4))),
+], ids=["distinct", "repeats", "all-equal", "two-blocks"])
+def test_a_profile_is_dealt_into_finer_blocks_once_per_distinct_deal(profile, blocks, parts):
+    # every arrangement of each block's values over its seats, cut into the finer
+    # parts and sorted within each part, is one deal; the deals' worlds add up to
+    # the profile's, prod_b |b|! / prod_v m_v!
+    dealt = list(engine._dealt([profile], blocks, parts))
+    by_block = []
+    for values, b in zip(profile, blocks):
+        inside = [p for p in parts if p[0] in b]
+        cuts = list(itertools.accumulate(map(len, inside), initial=0))
+        by_block.append({tuple(tuple(sorted(seq[i:j])) for i, j in zip(cuts, cuts[1:]))
+                         for seq in itertools.permutations(values)})
+    assert len(dealt) == len(set(dealt))
+    assert set(dealt) == {sum(deal, ()) for deal in itertools.product(*by_block)}
+
+    def weight(prof, over):
+        return math.prod(map(math.factorial, map(len, over))) // math.prod(map(engine._repeats, prof))
+
+    assert sum(weight(prof, parts) for prof in dealt) == weight(profile, blocks)
+
+
+@pytest.mark.parametrize("simultaneous", [False, True], ids=["circular", "simultaneous"])
+@pytest.mark.parametrize("game, actual", [(LINE5, (3, 3, 2, 2, 2)), (BLIND7, None), (FULL7, None)],
+                         ids=["line5", "blind7", "full7"])
+def test_a_block_cell_stands_for_the_worlds_the_held_state_keeps(monkeypatch, game, actual, simultaneous):
+    # two rounds of steps on block profiles and on the held universe side by side:
+    # each step gives the same answers, the cell's worlds, arranged by its hand-off,
+    # are the held part's, and its candidates are the values the part's seats hold
+    constraint, sight, default, _ = game
+    actual = actual or default
+    n = len(actual)
+    protocol = Simultaneous(2) if simultaneous else Circular(tuple(range(n)), 2)
+    sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, actual)
+    vis = sc.visibility()
+    monkeypatch.setattr(engine, "STREAM_THRESHOLD", 0)
+    cell, held = engine._Blocks.root(sc), sc.universe()
+    assert len(cell) == len(held)
+    for speakers in ([tuple(range(n))] if simultaneous else [(s,) for s in range(n)]) * 2:
+        parts, _ = worlds.partition(held, speakers, vis)
+        answers, held = next((a, worlds.KnowledgeState(tuple(p))) for a, p in parts.items() if actual in p)
+        [(said, narrowed)] = cell.narrowed(speakers, vis, actual)
+        monkeypatch.setattr(engine, "STREAM_THRESHOLD", len(held))
+        [(_, arranged)] = cell.narrowed(speakers, vis, actual)
+        monkeypatch.setattr(engine, "STREAM_THRESHOLD", 0)
+        assert said == answers
+        assert isinstance(narrowed, engine._Blocks) and len(narrowed) == len(held)
+        assert arranged.worlds == held.worlds
+        assert narrowed.candidates() == [set(column) for column in zip(*held.worlds)]
+        cell = narrowed
 
 
 def test_profile_evaluator_agrees_with_engine():
