@@ -22,22 +22,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, replace
-from operator import and_, itemgetter
+from operator import and_, is_not, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
-from .worlds import (
-    MIXED,
-    YES,
-    KnowledgeState,
-    SeatGroup,
-    VisibilityGraph,
-    World,
-    _key_fn,
-    answer_str,
-    own_table,
-    partition,
-)
+from .worlds import (MIXED, YES, KnowledgeState, SeatGroup, VisibilityGraph, World, _key_fn, answer_str,
+                     own_table, partition)
 
 
 class Event(NamedTuple):
@@ -83,25 +73,17 @@ class Transcript:
         rounds: dict[int, dict[int, bool]] = {}
         for e in self.events:
             rounds.setdefault(e.round, {})[e.agent] = e.answer
-        return [
-            tuple(rounds[r][i] for i in range(len(self.agents)))
-            for r in sorted(rounds)
-        ]
+        return [tuple(rounds[r][i] for i in range(len(self.agents))) for r in sorted(rounds)]
 
     def answers_by_turn(self) -> list[bool]:
         return [e.answer for e in sorted(self.events, key=lambda e: (e.round, e.turn))]
 
     def learners(self) -> frozenset[int]:
-        return frozenset(
-            i for i, ev in enumerate(self.eventual) if ev.kind == "learns"
-        )
+        return frozenset(i for i, ev in enumerate(self.eventual) if ev.kind == "learns")
 
 
 def transcript_digest(events: Iterable[Event]) -> str:
-    text = ";".join(
-        f"{e.round},{e.turn},{e.agent},{answer_str(e.answer)},{e.state_size}"
-        for e in events
-    )
+    text = ";".join(f"{e.round},{e.turn},{e.agent},{answer_str(e.answer)},{e.state_size}" for e in events)
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
@@ -186,7 +168,9 @@ class _Blocks:
         for s in speakers:
             blocks = tuple([part for b in blocks for part in ((s,) if s in b else (), tuple(
                 [i for i in b if i in vis.sees[s]]), tuple([i for i in b if i != s and i not in vis.sees[s]])) if part])
-        live = _capped(_dealt(self.live, self.blocks, blocks), self.size, blocks)
+        deals = _deals(self.blocks, blocks)  # counted before any is dealt, then dealt off the same lists
+        count = lambda: sum([math.prod(map(len, deals(prof))) for prof in self.live])
+        live = _capped(_dealt(self.live, self.blocks, blocks, deals), self.size, blocks, count)
         mine = tuple([tuple(sorted(map(actual.__getitem__, b))) for b in blocks])
         announced, keep = [], itertools.repeat(True)
         for s in speakers:
@@ -211,11 +195,14 @@ class _Blocks:
         return [held[block_of[seat]] for seat in sorted(block_of)]
 
 
-def _capped(profiles: Iterable, size: int, blocks: tuple) -> list:
+def _capped(profiles: Iterable, size: int, blocks: tuple, count=None) -> list:
     """The profiles of `size` worlds over `blocks`, refused with EngineError past scenarios.MATERIALIZE_LIMIT:
-    before any is made when `size` over the most worlds a profile stands for, prod_b |b|!, is past it."""
+    before any is made when `size` over the most worlds a profile stands for, prod_b |b|!, is past it, or
+    else `count()`, their exact number; with no `count`, once one past it is made."""
     limit = scenarios.MATERIALIZE_LIMIT
     least = size // math.prod(map(math.factorial, map(len, blocks)))
+    if least <= limit and count is not None:
+        least = count()
     held = [] if least > limit else list(itertools.islice(profiles, limit + 1))
     if least > limit or len(held) > limit:
         raise EngineError(f"{size} worlds need at least {max(least, len(held))} block profiles over "
@@ -223,12 +210,20 @@ def _capped(profiles: Iterable, size: int, blocks: tuple) -> list:
     return held
 
 
-def _dealt(live: list, blocks: tuple, parts: tuple):
-    """Each profile over `blocks` dealt into the finer blocks `parts` in every distinct way, lazily."""
+def _dealt(live: list, blocks: tuple, parts: tuple, deals=None):
+    """Each profile over `blocks` dealt into the finer blocks `parts` in every distinct way, lazily, off `deals`."""
+    deals = deals or _deals(blocks, parts)
+    for prof in live:
+        yield from map(tuple, map(itertools.chain.from_iterable, itertools.product(*deals(prof))))
+
+
+def _deals(blocks: tuple, parts: tuple):
+    """A profile over `blocks` -> per block, the distinct deals of its values into the sorted finer
+    blocks `parts` that cut it, each list made once per distinct (values, sizes)."""
     sizes = [tuple([len(p) for p in parts if p[0] in b]) for b in blocks]
 
     @functools.cache
-    def deals(values, sizes):  # a sorted value tuple -> its distinct deals into sorted parts of `sizes`
+    def deals(values, sizes):
         if len(sizes) == 1:
             return [(values,)]
         # combinations picks positions in lex order: the i-th pick leaves the i-th from last of the rest's size
@@ -236,8 +231,7 @@ def _dealt(live: list, blocks: tuple, parts: tuple):
         return [(head,) + tail for head, rest in dict(zip(itertools.combinations(values, sizes[0]), rests)).items()
                 for tail in deals(rest, sizes[1:])]
 
-    for prof in live:
-        yield from map(tuple, map(itertools.chain.from_iterable, itertools.product(*map(deals, prof, sizes))))
+    return lambda prof: list(map(deals, prof, sizes))
 
 
 class _ProfileCell:
@@ -437,9 +431,7 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, group: SeatGroup, 
 _NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
 
 
-def _classify(
-    n: int, first_yes: dict[int, Eventual], stabilized: Optional[int]
-) -> tuple[Eventual, ...]:
+def _classify(n: int, first_yes: dict[int, Eventual], stabilized: Optional[int]) -> tuple[Eventual, ...]:
     rest = _NEVER if stabilized is not None else _UNKNOWN
     return tuple([first_yes.get(i, rest) for i in range(n)])
 
@@ -560,10 +552,10 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
 
     Digests are made at the leaves: each image hashes its leaf's step texts,
     with every step's answers and size moved by its element, in one sha256
-    call.  On 15 far-sighted seats with 5 red hats that formats 6,692 step
-    texts and takes 9.0 ms of a 34 ms sweep (median of 15, 2-core VM).
+    call.
 
-    A family with no world is refused with EngineError.
+    A family of more than STREAM_THRESHOLD worlds, or of none, is refused
+    with EngineError.
 
     orbit: None for per-world rows, "rotation" to merge rotation classes
     (representative is the lexicographically least rotation).
@@ -574,7 +566,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     n = scenario.n_agents
     size = scenario.constraint.count_worlds(n)
     if size > STREAM_THRESHOLD:
-        raise EngineError("family too large to sweep without streaming support")
+        raise EngineError(f"family has {size} worlds, more than the {STREAM_THRESHOLD} a sweep may hold")
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
     universe = scenario.universe()
@@ -618,9 +610,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
             if len(counts) != 1:
                 raise EngineError("rotation orbit with inconsistent learner counts")
             base = min(members, key=lambda r: r.world)
-            merged.append(
-                SweepRow(rep, base.eventual, base.learners, base.digest, len(members))
-            )
+            merged.append(SweepRow(rep, base.eventual, base.learners, base.digest, len(members)))
         rows = merged
 
     return SweepReport(scenario.name, scenario.agents, tuple(rows))
@@ -632,15 +622,14 @@ def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: V
     _play refines the profile root under the identity, one branch per sorted
     multiset of the seats' classes so far (see _ProfileCell), so its one stop
     rule sets every leaf's state sizes and stop round.  Each profile lies in
-    one leaf.  A world's ordered classes
-    are its seats' first-YES rounds, read off its profile's row of the
-    table; its leaf's representative seats hold the same classes sorted, so
-    the world's eventual tuple is the representative's moved, and its
-    transcript says YES at seat i from the round of i's class on, with the
-    leaf's sizes.  A row's eventual tuple, learners and digest are made once
-    per distinct class vector.  The digest text of the rounds before the
-    first YES, in which every seat says NO, is formatted once per run of
-    sizes, and each digest is hashed in one sha256 call.
+    one leaf.  A world's ordered classes are its seats' first-YES rounds,
+    read off its profile's row of the table, and its transcript says YES at
+    seat i from the round of i's class on, with the leaf's sizes.  A row's
+    eventual tuple, learners and digest are made once per distinct class
+    vector.  A profile's first such miss maps each of its values to its
+    eventual and to its word in each round, and hashes the rounds before its
+    first YES, in which every seat says NO; each miss copies that hash and
+    formats each later round in one call.
     """
     n = scenario.n_agents
     where = {}  # profile -> (its row of the table, its leaf's class -> Eventual, its leaf's sizes)
@@ -652,30 +641,35 @@ def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: V
             where[prof] = (row,) + leaf
     seats = tuple(range(n))
     templates = [None] + [_template(rnd, rnd, seats) for rnd in range(1, scenario.protocol.max_rounds + 1)]
-    silent = {}  # sizes of the rounds before any YES -> their digest text
     made = {}  # ordered class vector -> (eventual, learners, digest)
+    maps = {}  # profile -> (value -> eventual, the all-NO rounds' sha256, (template, value -> word) per later round)
+    learners_of = {}  # learns vector -> its learners
     rows = []
     for w in universe:
-        row, by_class, sizes = where[tuple(sorted(w))]
+        prof = tuple(sorted(w))
+        row, by_class, sizes = where[prof]
         classes = tuple(map(row.__getitem__, w))
         found = made.get(classes)
-        if found is None:  # the leaf played every round up to the last class (see _play's stop rule)
-            learned = [f for f in classes if f is not None]
-            quiet = sizes[:min(learned) - 1 if learned else len(sizes)]
-            text = silent.get(quiet)
-            if text is None:
-                text = silent[quiet] = b"".join([
-                    templates[rnd] % ((b"NO,%d" % size,) * n) for rnd, size in enumerate(quiet, 1)
-                ])
-            texts = [text]
-            for rnd in range(len(quiet) + 1, len(sizes) + 1):
-                yes, no = b"YES,%d" % sizes[rnd - 1], b"NO,%d" % sizes[rnd - 1]
-                texts.append(templates[rnd] % tuple([yes if f is not None and f <= rnd else no for f in classes]))
-            found = made[classes] = (
-                tuple(map(by_class.__getitem__, classes)),
-                frozenset([i for i, f in enumerate(classes) if f is not None]),
-                hashlib.sha256(b"".join(texts)).hexdigest(),
-            )
+        if found is None:
+            per = maps.get(prof)
+            if per is None:  # the leaf played every round up to the last class (see _play's stop rule)
+                quiet = min([f for f in row.values() if f is not None], default=len(sizes) + 1) - 1  # all-NO rounds
+                per = maps[prof] = (
+                    {v: by_class[f] for v, f in row.items()},
+                    hashlib.sha256(b"".join([templates[rnd] % ((b"NO,%d" % size,) * n)
+                                             for rnd, size in enumerate(sizes[:quiet], 1)])),
+                    [(templates[rnd], {v: b"YES,%d" % size if f is not None and f <= rnd else b"NO,%d" % size
+                                       for v, f in row.items()}) for rnd, size in enumerate(sizes[quiet:], quiet + 1)],
+                )
+            eventual, digest, later = per
+            digest = digest.copy()
+            for template, word in later:
+                digest.update(template % tuple(map(word.__getitem__, w)))
+            learns = tuple(map(is_not, classes, itertools.repeat(None)))
+            learners = learners_of.get(learns)
+            if learners is None:
+                learners = learners_of[learns] = frozenset(itertools.compress(seats, learns))
+            found = made[classes] = (tuple(map(eventual.__getitem__, w)), learners, digest.hexdigest())
         rows.append(SweepRow(w, *found))
     return rows
 

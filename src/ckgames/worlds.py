@@ -9,7 +9,8 @@ would have been made.
 The announcement kernel, partition (split keeps its worlds alone), answers a
 speaker who sees only some seats through a table of its observation keys, and
 a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
-off the state's worlds packed into integers (see encode).  A state too large
+off the state's worlds packed into integers, each seat in a field as narrow as
+the state's values allow (see encode).  A state too large
 to hold is engine._Blocks: own_table answers its block profiles as it answers
 worlds, keyed by _key_fn over the blocks a speaker sees.
 """
@@ -172,28 +173,45 @@ def encode(worlds: Sequence[World]) -> Optional[tuple]:
     """(masks, codes) for a non-empty sequence of worlds of one length n, or None.
 
     Each world is packed into one int: seat i's value fills the i-th of n
-    fixed-width unsigned fields, seat 0 highest, each of the first of 1, 2,
-    4 and 8 bytes that holds every value.  masks[i] clears seat i's field,
-    so code & masks[i] is what a seat i who sees every other seat observes.
-    None when a value is negative or needs more than 64 bits.
+    fixed-width unsigned fields, seat 0 highest.  The fields are the
+    narrowest that hold every value: 1, 2, 4 or 5 bits up to 31, where a
+    world's bytes are translated into n digits and read in base 2**bits,
+    and from 32 on the first of 1, 2, 4 and 8 bytes.  masks[i] clears seat
+    i's field, so code & masks[i] is what a seat i who sees every other seat
+    observes.  None when a value is negative or needs more than 64 bits.
     """
     n = len(worlds[0])
-    for fmt in "BHIQ":  # a pack that fails part-way costs less than a pass for the largest value
-        pack, masks = _packing(n, fmt)
+    try:
+        fields = list(map(bytes, worlds))
+    except ValueError:  # a value below 0 or above 255
+        fields = None
+    if fields is not None:
+        joined = b"".join(fields)
+        for bits, below in _NARROW:
+            if not joined.translate(None, below):  # every value is below 2**bits
+                return _masks(n, bits), list(map(int, map(bytes.translate, fields, repeat(_DIGITS)), repeat(1 << bits)))
+        return _masks(n, 8), list(map(int.from_bytes, fields, repeat("big")))
+    for fmt in "HIQ":  # a pack that fails part-way costs less than a pass for the largest value
+        pack = struct.Struct(f">{n}{fmt}").pack
         try:
-            return masks, list(map(int.from_bytes, starmap(pack, worlds), repeat("big")))
+            codes = list(map(int.from_bytes, starmap(pack, worlds), repeat("big")))
         except struct.error:
-            pass
+            continue
+        return _masks(n, struct.calcsize(fmt) * 8), codes
     return None
 
 
+# the narrow field widths, each with the byte values it holds; a value v is read as
+# the digit v of base 2**bits, and base 32 is the largest power of two int() reads
+_NARROW = tuple([(bits, bytes(range(1 << bits))) for bits in (1, 2, 4, 5)])
+_DIGITS = bytes.maketrans(bytes(range(32)), b"0123456789abcdefghijklmnopqrstuv")
+
+
 @cache
-def _packing(n: int, fmt: str) -> tuple:
-    """(the pack function of n big-endian fields of format fmt, the n masks clearing one field each)."""
-    packer = struct.Struct(f">{n}{fmt}")
-    bits = packer.size // n * 8
+def _masks(n: int, bits: int) -> tuple:
+    """The n masks of n fields of `bits` bits, each clearing one field, seat 0's highest."""
     whole = (1 << bits * n) - 1
-    return packer.pack, tuple([whole ^ ((1 << bits) - 1) << bits * (n - 1 - i) for i in range(n)])
+    return tuple([whole ^ ((1 << bits) - 1) << bits * (n - 1 - i) for i in range(n)])
 
 
 def coded_column(coded: tuple, agent: int) -> list[bool]:

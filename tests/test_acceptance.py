@@ -540,8 +540,8 @@ def test_criterion_15_line_sum_block_profiles():
     assert sc.actual == (1, 23) + (1,) * 8
     held, real = [], engine._capped
 
-    def capped(profiles, size, blocks):
-        out = real(profiles, size, blocks)
+    def capped(profiles, size, blocks, *count):
+        out = real(profiles, size, blocks, *count)
         held.append((size, len(blocks), len(out)))
         return out
 

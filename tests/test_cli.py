@@ -271,12 +271,12 @@ def test_sweep_refuses_a_family_above_the_stream_threshold(capsys, monkeypatch):
     assert main(["sweep", str(SWEEPS / "emperor10.ck")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: family too large to sweep without streaming support\n"
+    assert captured.err == "error: family has 120 worlds, more than the 119 a sweep may hold\n"
 
 
 @pytest.mark.parametrize("protocol, message", [
     ("simultaneous rounds 4", "1540 worlds need at least 1540 block profiles over 5 blocks, more than the limit of 300"),
-    ("circular order [ aidan josh c d e ] rounds 4", "1540 worlds need at least 301 block profiles over 3 blocks, more than the limit of 300"),
+    ("circular order [ aidan josh c d e ] rounds 4", "1540 worlds need at least 420 block profiles over 3 blocks, more than the limit of 300"),
 ], ids=["simultaneous", "circular"])
 def test_run_refuses_a_block_cell_past_the_materialize_limit(tmp_path, capsys, monkeypatch, protocol, message):
     # line5's 1,540 worlds on block profiles, with at most 300 profiles to a cell

@@ -584,8 +584,8 @@ def test_a_block_cell_hands_off_its_kept_worlds_in_lex_order(monkeypatch):
 def test_a_block_cell_past_the_materialize_limit_is_refused(protocol, step):
     # line5 over 300 profiles at most: a simultaneous step splits every seat off, so its
     # 1,540 worlds need 1,540 profiles and are refused before any is dealt; the circular
-    # step by seat 0 (blocks {0}, {1}, {2, 3, 4}) needs at least 1540 // 3! = 256 and deals
-    # 420, so it is refused at the cap
+    # step by seat 0 (blocks {0}, {1}, {2, 3, 4}) needs at least 1540 // 3! = 256, so its
+    # deals are counted, 420, and it too is refused before any is dealt
     constraint, sight, _, _ = LINE5
     sc = Scenario("s", tuple("abcde"), constraint, sight, protocol, (3, 3, 2, 2, 2))
     dealt, real = [], engine._dealt
@@ -598,10 +598,10 @@ def test_a_block_cell_past_the_materialize_limit_is_refused(protocol, step):
     with mock.patch.object(scenarios, "MATERIALIZE_LIMIT", 300), mock.patch.object(engine, "STREAM_THRESHOLD", 0), \
             mock.patch.object(engine, "_dealt", counted):
         message = ("1540 worlds need at least 1540 block profiles over 5 blocks, more than the limit of 300",
-                   "1540 worlds need at least 301 block profiles over 3 blocks, more than the limit of 300")[step]
+                   "1540 worlds need at least 420 block profiles over 3 blocks, more than the limit of 300")[step]
         with pytest.raises(EngineError, match=message):
             run(sc)
-    assert len(dealt) == (0, 301)[step]
+    assert len(dealt) == 0
 
 
 @pytest.mark.parametrize("profile, blocks, parts", [
@@ -686,6 +686,42 @@ def test_profile_evaluator_agrees_with_engine():
                 got = row.eventual[i]
                 expect = table[prof][v]
                 assert (got.round if got.kind == "learns" else None) == expect, (c, n, row.world)
+
+
+class _CountedSha:
+    """A sha256 that counts, in `made`, the digests read off it and off its copies."""
+
+    def __init__(self, made, inner):
+        self.made, self.inner = made, inner
+
+    def update(self, data):
+        self.inner.update(data)
+
+    def copy(self):
+        return _CountedSha(self.made, self.inner.copy())
+
+    def hexdigest(self):
+        self.made.append(None)
+        return self.inner.hexdigest()
+
+
+@pytest.mark.parametrize("constraint, n, distinct", [(HatsAtLeast(0, 1, 2), 8, True), (MaxDiffExact(2, 6), 4, False)],
+                         ids=["hats8", "maxdiff4"])
+def test_profile_rows_make_one_digest_per_distinct_class_vector(monkeypatch, constraint, n, distinct):
+    # a full-sight simultaneous sweep reads each world's row off its ordered class vector,
+    # its seats' first-YES rounds; worlds with the same vector share eventuals, learners
+    # and transcript, so one digest is made per vector.  Every hats world has a vector of
+    # its own, and the max-difference worlds share them
+    family = Scenario("f", tuple(f"a{i}" for i in range(n)), constraint, Full(), Simultaneous(n + 1), None)
+    table = run_profiles(profile_universe(constraint, n), n + 1)
+    universe = family.universe()
+    vectors = {tuple(table[tuple(sorted(w))][v] for v in w) for w in universe}
+    assert (len(vectors) == len(universe)) == distinct
+    expected = sweep(family)
+    made = []
+    monkeypatch.setattr(engine, "hashlib", mock.Mock(sha256=lambda data=b"": _CountedSha(made, hashlib.sha256(data))))
+    assert sweep(family) == expected
+    assert len(made) == len(vectors)
 
 
 def test_full_sight_run_above_the_materialize_limit_never_generates():

@@ -1,6 +1,7 @@
 """Invariant properties over randomized small scenarios."""
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -89,24 +90,61 @@ def test_yes_permanence(case):
         assert knows_own(i, actual, smaller, vis)
 
 
+# the largest and the smallest value of each field width encode packs
+FIELD_EDGES = [0, 1, 2, 3, 4, 15, 16, 31, 32, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**64 - 1]
+
+
 @st.composite
 def wide_states(draw):
     """(a state of up to 60 worlds, its sight) whose values may need wide fields.
 
-    The values are drawn from around one byte (256), two bytes (65,536),
-    four bytes and eight bytes (2**64, which no field holds), so that the
-    packed codes take every field width, and a part may hold only values
-    narrower than its state's.  Each seat sees every other seat or a drawn set.
+    The values are drawn from around each field width: 2, 4, 16 and 32 (1,
+    2, 4 and 5 bits), one byte (256), two bytes (65,536), four bytes and
+    eight bytes (2**64, which no field holds), so that the packed codes take
+    every field width, and a part may hold only values narrower than its
+    state's.  Each seat sees every other seat or a drawn set.
     """
     n = draw(st.integers(2, 5))
-    alphabet = sorted(draw(st.sets(st.sampled_from([0, 1, 255, 256, 65_535, 65_536, 2**32, 2**64 - 1, 2**64]),
-                                   min_size=2, max_size=3)))
+    alphabet = sorted(draw(st.sets(st.sampled_from(FIELD_EDGES + [2**64]), min_size=2, max_size=3)))
     found = draw(st.sets(st.tuples(*[st.sampled_from(alphabet)] * n), min_size=1, max_size=60))
     sees = []
     for i in range(n):
         others = [j for j in range(n) if j != i]
         sees.append(frozenset(others) if draw(st.booleans()) else draw(st.sets(st.sampled_from(others))))
     return KnowledgeState.from_worlds(found), VisibilityGraph(tuple(sees))
+
+
+@st.composite
+def edge_worlds(draw):
+    """Up to 30 distinct worlds of 1-6 seats over the field edges up to a drawn one, so every width is met."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.sampled_from(FIELD_EDGES))
+    values = st.sampled_from([v for v in FIELD_EDGES if v <= top])
+    return draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=30, unique=True))
+
+
+@given(edge_worlds())
+def test_codes_agree_under_a_mask_exactly_when_the_worlds_agree_off_its_seat(found):
+    # a seat who sees every other seat tells two worlds apart exactly when they differ off its own seat
+    masks, codes = worlds.encode(found)
+    assert len(masks) == len(found[0]) and len(codes) == len(found)
+    # each field is as narrow as the largest value allows
+    top = max(map(max, found))
+    width = next(bits for bits in (1, 2, 4, 5, 8, 16, 32, 64) if top < 1 << bits)
+    assert max(masks + tuple(codes)) < 1 << width * len(masks)
+    for i, mask in enumerate(masks):
+        for (a, x), (b, y) in itertools.combinations(zip(found, codes), 2):
+            assert (x & mask == y & mask) == (a[:i] + a[i + 1:] == b[:i] + b[i + 1:])
+    assert len(set(codes)) == len(codes)
+
+
+@given(st.lists(st.sampled_from(FIELD_EDGES), min_size=1, max_size=5), st.data())
+def test_codes_refuse_a_negative_value_or_one_past_64_bits(world, data):
+    # the spoiled world may come first or last, and the other world's values may fit any width
+    bad = data.draw(st.sampled_from([-1, -2, -256, 2**64, 2**64 + 1, 2**100]))
+    seat = data.draw(st.integers(0, len(world) - 1))
+    found = [tuple(world), tuple(world[:seat] + [bad] + world[seat + 1:])]
+    assert worlds.encode(found[::data.draw(st.sampled_from([1, -1]))]) is None
 
 
 def reference_split(state, speakers, vis):
