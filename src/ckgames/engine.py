@@ -10,9 +10,9 @@ first-time YES), or at the horizon.
 "Never" is only asserted after a certified fixpoint; hitting the horizon
 without one yields "unknown".
 
-A run or a sweep of a simultaneous game in which every seat sees every other
-plays the same loop over value profiles (see run_path and _ProfileCell), and
-any other run above STREAM_THRESHOLD worlds over block profiles (_Blocks).
+A run or a sweep of a simultaneous game in which every seat sees every other,
+and any other run above STREAM_THRESHOLD worlds, plays the same loop over
+block profiles (_Blocks; see run_path).
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import functools
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from operator import and_, is_not, itemgetter
+from operator import and_, eq, is_not, itemgetter, not_
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
@@ -99,7 +100,7 @@ STREAM_THRESHOLD = 500_000
 
 
 class _Branch(NamedTuple):
-    state: object  # KnowledgeState, _Blocks while too large to hold, or _ProfileCell
+    state: object  # KnowledgeState, or _Blocks while too large to hold or in a full-sight simultaneous game
     steps: tuple[tuple, ...]  # (round, turn, speakers, answers, state size) per announcement step
     first_yes: dict[int, Eventual]  # agent -> the round and turn of its first YES
     # the seat-group elements that move this branch onto the cells it stands for: [0] alone
@@ -115,10 +116,10 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
     kept only if it maps the sight graph onto itself: the dihedral group for
     circle and full sight, reversal alone for line sight, the identity alone
     for circular turns and blind agents (full-sight simultaneous games play
-    on profiles instead, see run_path).  Every universe is closed under
-    every seat permutation (see scenarios), so the sight graph decides.  Each
-    (sight graph, protocol kind) gets one group for the life of the process,
-    with its split plan built on first use.
+    on block profiles under the identity instead, see run_path).  Every
+    universe is closed under every seat permutation (see scenarios), so the
+    sight graph decides.  Each (sight graph, protocol kind) gets one group
+    for the life of the process, with its split plan built on first use.
     """
     n = vis.n_agents
     generators = []
@@ -132,7 +133,7 @@ def _sweep_group(vis: VisibilityGraph, simultaneous: bool) -> SeatGroup:
 
 class _Blocks:
     """The worlds that every announcement so far keeps, as block profiles: the counter abstraction
-    of _ProfileCell over a partition of the seats that refines as seats speak; no world is generated.
+    of fully symmetric systems over a partition of the seats that refines as seats speak; no world is generated.
 
     The state is closed under the permutations within each block; the root is
     the constraint's profiles in one block (see scenarios).  A profile holds
@@ -140,30 +141,37 @@ class _Blocks:
     prod_b |b|! / prod_v m_v! worlds, with m_v copies of v in block b.
     """
 
-    def __init__(self, blocks: tuple, live: list, size: int):
+    def __init__(self, blocks: tuple, live: list, size: int, weights: Optional[list] = None,
+                 keys: Optional[list] = None):
         self.blocks = blocks  # seat tuples, in profile order
         self.live = live
         self.size = size
+        # _heard's weights, made on first use, and its keys per live profile, kept by a step that split no block
+        self.weights, self.keys = weights, keys
 
     @classmethod
     def root(cls, scenario: scenarios.Scenario) -> "_Blocks":
         n, size = scenario.n_agents, scenario.constraint.count_worlds(scenario.n_agents)
         live = _capped(zip(scenario.constraint.profiles(n)), size, (tuple(range(n)),))
-        if (tuple(sorted(scenario.actual)),) not in live:
+        if scenario.actual is not None and (tuple(sorted(scenario.actual)),) not in live:
             raise EngineError(_NOT_A_MEMBER)
         return cls((tuple(range(n)),), live, size)
 
     def __len__(self) -> int:
         return self.size
 
-    def narrowed(self, speakers, vis: VisibilityGraph, actual: World):
+    def narrowed(self, speakers, vis: VisibilityGraph, actual: Optional[World]):
         """[(the actual world's answers, the worlds giving the same answers)], held once they fit.
 
-        Each speaker s splits every block into s, the seats s sees and the
-        rest, and each profile is dealt into the finer blocks in every
-        distinct way.  s then knows its value where the profiles that agree
-        on its seen blocks hold one value at s (own_table keyed by them).
+        A step in which every seat speaks and sees every other is _heard's,
+        and its parts are never held.  In any other, each speaker s splits
+        every block into s, the seats s sees and the rest, and each profile
+        is dealt into the finer blocks in every distinct way.  s then knows
+        its value where the profiles that agree on its seen blocks hold one
+        value at s (own_table keyed by them).
         """
+        if len(speakers) == len(vis.full_sight) == vis.n_agents:
+            return self._heard(actual)
         blocks = self.blocks
         for s in speakers:
             blocks = tuple([part for b in blocks for part in ((s,) if s in b else (), tuple(
@@ -180,19 +188,83 @@ class _Blocks:
             announced.append(table[key(mine)] != MIXED)
             keep = list(map(and_, keep, [(table[k] != MIXED) == announced[-1] for k in keys]))
         live = list(itertools.compress(live, keep))
-        seats = math.prod(map(math.factorial, map(len, blocks)))
-        size = sum([seats // math.prod(map(_repeats, prof)) for prof in live])
+        size = _worlds(blocks, live)
         if size > STREAM_THRESHOLD:
             return [(tuple(announced), _Blocks(blocks, live, size))]
         placed = itemgetter(*sorted(range(len(actual)), key=[i for b in blocks for i in b].__getitem__))
         singles = _dealt(live, blocks, tuple([(i,) for b in blocks for i in b]))  # one value per seat
         return [(tuple(announced), KnowledgeState(tuple(sorted([placed(sum(prof, ())) for prof in singles]))))]
 
+    def _heard(self, actual: Optional[World]):
+        """narrowed's parts when every seat speaks and sees every other: the actual world's, or all in a sweep.
+
+        A seat holding v in block b knows v exactly when no other profile
+        differs from its own only in one copy of v in b.  With the V distinct
+        values numbered densely, the i-th weighs (n+1)^(k*V + i) in the block
+        at position k.  No block holds n+1 copies of a value, so a profile's
+        code, the sum of its weights, tells it apart, and its key for v in b,
+        the code less v's weight there, is another profile's exactly when
+        the two differ in that one copy: so v's holders in b know v when no
+        other profile has that key.  A world then gives another's answers
+        exactly when each block holds as many YES values, and each block
+        splits into its YES and NO seats and each kept profile into its YES
+        and NO values, one way.  A run keeps the actual world's YES count per
+        block.  A sweep keeps one part per count vector, with the YES seats
+        first in each block, standing for every other seating of its counts.
+        """
+        blocks, live = self.blocks, self.live
+        seats = sum(blocks, ())
+        n = len(seats)
+        weights = self.weights
+        if weights is None:
+            values = sorted({v for prof in live for v in itertools.chain.from_iterable(prof)})
+            weights = [{v: (n + 1) ** (k * len(values) + i) for i, v in enumerate(values)} for k in range(n)]
+        at = [weights[k] for k, b in enumerate(blocks) for _ in b]  # each place of a profile's values: its weights
+        tally = [(n + 1) ** k for k, b in enumerate(blocks) for _ in b]  # a YES in block k counts (n+1)^k
+
+        def keyed(values):  # the key of each of a profile's values, in block order
+            ws = list(map(dict.__getitem__, at, values))
+            return list(map(sum(ws).__sub__, ws))
+
+        keys = self.keys or [keyed(itertools.chain.from_iterable(prof)) for prof in live]
+        counts = Counter(itertools.chain.from_iterable(map(set, keys)))  # key -> the profiles that have it
+        told = lambda ks: list(map(eq, map(counts.__getitem__, ks), itertools.repeat(1)))  # each value's holders know
+        parts: dict[int, list] = {}  # summed tally -> [(profile, whether each value's holders know it, its keys)]
+        for prof, ks in zip(live, keys):
+            said = told(ks)
+            parts.setdefault(sum(itertools.compress(tally, said)), []).append((prof, said, ks))
+        if actual is not None:
+            mine = told(keyed(map(actual.__getitem__, seats)))  # whether each seat knows, in block order
+            counted = sum(itertools.compress(tally, mine))
+            parts = {counted: parts[counted]}
+        starts = list(itertools.accumulate(map(len, blocks), initial=0))
+        # tuples laid end to end as the blocks are, each cut into the elements flagged and the rest
+        cut = lambda groups, flags: tuple([part for g, lo in zip(groups, starts) for part in (
+            tuple(itertools.compress(g, flags[lo:])), tuple(itertools.compress(g, map(not_, flags[lo:])))) if part])
+        out = []
+        for counted, kept in parts.items():
+            flags = mine if actual is not None else [
+                j < counted // (n + 1) ** k % (n + 1) for k, b in enumerate(blocks) for j in range(len(b))]
+            split = cut(blocks, flags)
+            if len(split) == len(blocks):  # no block split: every profile, and so its keys, stays as it is
+                live, keys = [prof for prof, *_ in kept], [ks for *_, ks in kept]
+            else:
+                live, keys = [cut(prof, said) for prof, said, _ in kept], None
+            yes = set(itertools.compress(seats, flags))
+            out.append((tuple([s in yes for s in range(n)]), _Blocks(split, live, _worlds(split, live), weights, keys)))
+        return out
+
     def candidates(self) -> list[set[int]]:
         """Each seat's values: those of its block in the surviving profiles."""
         held = [{v for prof in self.live for v in prof[k]} for k in range(len(self.blocks))]
         block_of = {seat: k for k, b in enumerate(self.blocks) for seat in b}
         return [held[block_of[seat]] for seat in sorted(block_of)]
+
+
+def _worlds(blocks: tuple, live: list) -> int:
+    """The worlds that the profiles `live` over `blocks` stand for."""
+    seats, repeats = math.prod(map(math.factorial, map(len, blocks))), functools.cache(_repeats)
+    return sum([seats // math.prod(map(repeats, prof)) for prof in live])
 
 
 def _capped(profiles: Iterable, size: int, blocks: tuple, count=None) -> list:
@@ -232,83 +304,6 @@ def _deals(blocks: tuple, parts: tuple):
                 for tail in deals(rest, sizes[1:])]
 
     return lambda prof: list(map(deals, prof, sizes))
-
-
-class _ProfileCell:
-    """The worlds of a full-sight simultaneous game that agree with a world's announcements so far,
-    held as sorted value profiles with their multiplicities; no world is generated.
-
-    Seat i's answer depends only on its own value and the world's profile, so
-    run_profiles' table gives every world's whole transcript: a seat says NO
-    before the first-YES round of its value and YES from then on.  After
-    round r a seat's class is that round if it is at most r, else "not yet",
-    and a world agrees with another when each seat's value has the class of
-    the other world's seat.  So a profile's worlds survive when its values
-    fill the seats of each class exactly, and then they number the product
-    over the classes of the multinomial of the profile's values in the
-    class.  With k_c seats in class c and m_v copies of value v, that is
-    (prod_c k_c!) / (prod_v m_v!).
-
-    The cell's size, and so the transcript, depends on the seats' classes
-    only as a sorted multiset.  A run narrows to the actual world's cell.  A
-    sweep splits each cell by the profiles' sorted classes, each part
-    standing for the cells of every seating of its classes (see
-    _profile_rows); a profile's classes sort one way only, so every profile
-    lies in one part.
-    """
-
-    def __init__(self, firsts: Optional[list], live: list, rnd: int, size: int):
-        # the first-YES round per seat, None for never: the actual world's in a run, and in
-        # a sweep the part's sorted classes, the learners' first (None while not learned)
-        self.firsts = firsts
-        self.live = live  # (profile, its row of the table, prod_v m_v! or 0 while not worked out)
-        self.rnd = rnd  # the rounds played
-        self.size = size
-
-    @classmethod
-    def root(cls, scenario: scenarios.Scenario) -> "_ProfileCell":
-        n = scenario.n_agents
-        table = run_profiles(profile_universe(scenario.constraint, n), scenario.protocol.max_rounds)
-        firsts = None
-        if scenario.actual is not None:
-            row = table.get(tuple(sorted(scenario.actual)))
-            if row is None:
-                raise EngineError(_NOT_A_MEMBER)
-            firsts = [row[v] for v in scenario.actual]
-        live = [(prof, row, 0) for prof, row in table.items()]
-        return cls(firsts, live, 0, scenario.constraint.count_worlds(n))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def narrowed(self, speakers, vis: VisibilityGraph, actual: Optional[World]):
-        """[(answers, the profiles giving them)] in the next round, in which every seat speaks:
-        the actual world's part in a run, every part in a sweep."""
-        rnd = self.rnd + 1
-        wanted = None if actual is None else tuple(sorted([f if f is not None and f <= rnd else 0 for f in self.firsts]))
-        parts: dict[tuple[int, ...], list] = {}  # sorted classes, 0 for not yet -> live triples
-        for prof, row, repeats in self.live:
-            classes = tuple(sorted([f if f is not None and f <= rnd else 0 for f in map(row.__getitem__, prof)]))
-            if wanted is None or classes == wanted:
-                parts.setdefault(classes, []).append((prof, row, repeats or _repeats(prof)))
-        out = []
-        for classes, live in parts.items():
-            firsts = self.firsts if actual is not None else [c for c in classes if c] + [None] * classes.count(0)
-            seats = _repeats(classes)  # prod_c k_c!
-            size = sum([seats // repeats for _, _, repeats in live])
-            answers = tuple([f is not None and f <= rnd for f in firsts])
-            out.append((answers, _ProfileCell(firsts, live, rnd, size)))
-        return out
-
-    def candidates(self) -> list[set[int]]:
-        """Each seat's values: those of its class in the surviving profiles."""
-        rnd = self.rnd
-        by_class: dict[int, set[int]] = {}
-        for prof, row, _ in self.live:
-            for v in prof:
-                f = row[v]
-                by_class.setdefault(f if f is not None and f <= rnd else 0, set()).add(v)
-        return [by_class[f if f is not None and f <= rnd else 0] for f in self.firsts]
 
 
 def _repeats(prof) -> int:
@@ -380,7 +375,7 @@ def _children(branch: _Branch, speakers, rnd: int, turn: int, group: SeatGroup, 
     """One child per part of the branch's state after `speakers` answer truthfully.
 
     With an actual world, only the child holding it; a state that is not
-    held (a _Blocks or a _ProfileCell) narrows itself to its parts.  Every
+    held (a _Blocks) narrows itself to its parts.  Every
     element of the group maps a branch with images [0] onto itself, so it
     moves each part onto the part with the moved answers, and the split
     builds tables for one seat per orbit (see worlds.partition).  Such a
@@ -444,11 +439,11 @@ def run(scenario: scenarios.Scenario) -> Transcript:
     """Play the scenario's protocol to completion and return the transcript.
 
     The root is the one run_path names.  A simultaneous game in which every
-    seat sees every other is played over sorted value profiles with their
-    multiplicities (see _ProfileCell), under the identity, and never builds
-    its universe.  Any other game is played over worlds held up to
-    STREAM_THRESHOLD, and over block profiles above it (see _Blocks) until
-    they fit, and quotiented like a sweep by _sweep_group.
+    seat sees every other is played over block profiles from one block on
+    (see _Blocks._heard), under the identity, and never builds its universe.
+    Any other game is played over worlds held up to STREAM_THRESHOLD, and
+    over block profiles above it until they fit, and quotiented like a sweep
+    by _sweep_group.
     """
     scenario.validate()
     actual = scenario.actual
@@ -457,15 +452,12 @@ def run(scenario: scenarios.Scenario) -> Transcript:
     vis = scenario.visibility()
     simultaneous = isinstance(scenario.protocol, scenarios.Simultaneous)
     path = run_path(scenario, vis)
-    if path == "profiles":
-        root, group = _ProfileCell.root(scenario), SeatGroup(vis)
-    else:
-        root = _Blocks.root(scenario) if path == "blocks" else scenario.universe()
-        # a universe is closed under seat permutations (see scenarios), so it holds the
-        # actual world exactly when it holds its sorted profile; _Blocks.root checks its own
-        if path == "materialized" and tuple(sorted(actual)) not in root:
-            raise EngineError(_NOT_A_MEMBER)
-        group = _sweep_group(vis, simultaneous)
+    root = scenario.universe() if path == "materialized" else _Blocks.root(scenario)
+    # a universe is closed under seat permutations (see scenarios), so it holds the
+    # actual world exactly when it holds its sorted profile; _Blocks.root checks its own
+    if path == "materialized" and tuple(sorted(actual)) not in root:
+        raise EngineError(_NOT_A_MEMBER)
+    group = SeatGroup(vis) if path == "profiles" else _sweep_group(vis, simultaneous)
     ((branch, stabilized),) = _play(scenario, root, group, actual)
     state = branch.state
     seen = map(set, zip(*state)) if isinstance(state, KnowledgeState) else state.candidates()
@@ -489,8 +481,9 @@ def run_path(scenario: scenarios.Scenario, vis: VisibilityGraph) -> str:
     """How run plays the scenario over its sight graph `vis`: "profiles", "materialized" or "blocks".
 
     "profiles" when the protocol is simultaneous and every seat sees every
-    other, whatever the sight model that drew the graph; otherwise
-    "blocks" above STREAM_THRESHOLD worlds and "materialized" up to it.
+    other, whatever the sight model that drew the graph: block profiles
+    under the identity, however many worlds; otherwise "blocks" above
+    STREAM_THRESHOLD worlds and "materialized" up to it.
     """
     if isinstance(scenario.protocol, scenarios.Simultaneous) and len(vis.full_sight) == vis.n_agents:
         return "profiles"
@@ -532,9 +525,10 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     calling run() per world.
 
     A simultaneous game in which every seat sees every other (run_path's
-    "profiles") is refined over value profiles, one leaf per sorted class
-    multiset, and each world's row is read off its profile's leaf (see
-    _profile_rows; README gives its timings against the world root).
+    "profiles") is refined over block profiles, one leaf per multiset of
+    the seats' answer histories, and each world's row is read off its
+    profile's leaf (see _profile_rows; README gives its timings against the
+    world root).
 
     Any other simultaneous game is quotiented by the seat permutations that
     map its sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996):
@@ -617,37 +611,43 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
 
 
 def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: VisibilityGraph) -> list[SweepRow]:
-    """The sweep rows of a full-sight simultaneous family, in the order of `universe`, from a profile root.
+    """The sweep rows of a full-sight simultaneous family, in the order of `universe`, from a block root.
 
-    _play refines the profile root under the identity, one branch per sorted
-    multiset of the seats' classes so far (see _ProfileCell), so its one stop
-    rule sets every leaf's state sizes and stop round.  Each profile lies in
-    one leaf.  A world's ordered classes are its seats' first-YES rounds,
-    read off its profile's row of the table, and its transcript says YES at
-    seat i from the round of i's class on, with the leaf's sizes.  A row's
-    eventual tuple, learners and digest are made once per distinct class
-    vector.  A profile's first such miss maps each of its values to its
-    eventual and to its word in each round, and hashes the rounds before its
-    first YES, in which every seat says NO; each miss copies that hash and
-    formats each later round in one call.
+    _play refines the block root under the identity, and each step splits
+    a branch into one part per count of YES seats per block (see
+    _Blocks._heard), so its one stop rule sets every leaf's state sizes and
+    stop round.  Each profile lies in one leaf, and all copies of a value
+    in one of its blocks; the seats of a block said the same in every
+    step, so a value's class, its first-YES round and eventual, are the
+    block's first seat's.  A world's ordered classes are its seats'
+    values' classes, and its transcript says YES at seat i from the round
+    of i's class on, with the leaf's sizes.  A row's eventual tuple,
+    learners and digest are made once per distinct class vector.  A
+    profile's first such miss maps each of its values to its word in each
+    round, and hashes the rounds before its first YES, in which every seat
+    says NO; each miss copies that hash and formats each later round in
+    one call.
     """
     n = scenario.n_agents
-    where = {}  # profile -> (its row of the table, its leaf's class -> Eventual, its leaf's sizes)
-    for branch, stabilized in _play(scenario, _ProfileCell.root(scenario), SeatGroup(vis)):
+    where = {}  # profile -> (value -> first-YES round or None, value -> Eventual, its leaf's sizes)
+    for branch, stabilized in _play(scenario, _Blocks.root(scenario), SeatGroup(vis)):
         cell = branch.state
-        leaf = (dict(zip(cell.firsts, _classify(n, branch.first_yes, stabilized))),
-                tuple([size for *_, size in branch.steps]))
-        for prof, row, _ in cell.live:
-            where[prof] = (row,) + leaf
+        eventual = _classify(n, branch.first_yes, stabilized)
+        classes = [eventual[b[0]] for b in cell.blocks]
+        sizes = tuple([size for *_, size in branch.steps])
+        for prof in cell.live:
+            by_value = {v: e for e, values in zip(classes, prof) for v in values}
+            where[tuple(sorted(itertools.chain.from_iterable(prof)))] = (
+                {v: e.round for v, e in by_value.items()}, by_value, sizes)
     seats = tuple(range(n))
     templates = [None] + [_template(rnd, rnd, seats) for rnd in range(1, scenario.protocol.max_rounds + 1)]
     made = {}  # ordered class vector -> (eventual, learners, digest)
-    maps = {}  # profile -> (value -> eventual, the all-NO rounds' sha256, (template, value -> word) per later round)
+    maps = {}  # profile -> (the all-NO rounds' sha256, (template, value -> word) per later round)
     learners_of = {}  # learns vector -> its learners
     rows = []
     for w in universe:
         prof = tuple(sorted(w))
-        row, by_class, sizes = where[prof]
+        row, eventual, sizes = where[prof]
         classes = tuple(map(row.__getitem__, w))
         found = made.get(classes)
         if found is None:
@@ -655,13 +655,12 @@ def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: V
             if per is None:  # the leaf played every round up to the last class (see _play's stop rule)
                 quiet = min([f for f in row.values() if f is not None], default=len(sizes) + 1) - 1  # all-NO rounds
                 per = maps[prof] = (
-                    {v: by_class[f] for v, f in row.items()},
                     hashlib.sha256(b"".join([templates[rnd] % ((b"NO,%d" % size,) * n)
                                              for rnd, size in enumerate(sizes[:quiet], 1)])),
                     [(templates[rnd], {v: b"YES,%d" % size if f is not None and f <= rnd else b"NO,%d" % size
                                        for v, f in row.items()}) for rnd, size in enumerate(sizes[quiet:], quiet + 1)],
                 )
-            eventual, digest, later = per
+            digest, later = per
             digest = digest.copy()
             for template, word in later:
                 digest.update(template % tuple(map(word.__getitem__, w)))
@@ -707,10 +706,10 @@ def stability_check(scenario: scenarios.Scenario, growth: int) -> bool:
 # sorted value profiles instead of world tuples, which turns millions of
 # worlds into a few hundred profiles: the counter abstraction of fully
 # symmetric systems (Emerson & Sistla 1996; Pnueli, Xu & Zuck 2002).  run
-# and sweep play full-sight simultaneous games over this table (see
-# _ProfileCell), so neither is an independent check of it.  The tests hold
-# it against the same runs from a held universe or block profiles, against
-# sweeps from the world root, and against a knows_own replay.
+# and sweep play full-sight simultaneous games over block profiles instead
+# (see _Blocks._heard), and no engine path calls this evaluator, so it is an
+# independent check of them: the tests hold its table against every such run
+# and sweep they play, and against a slow reference of its own.
 
 
 def profile_universe(constraint, n: int) -> frozenset[tuple[int, ...]]:

@@ -12,7 +12,9 @@ a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
 off the state's worlds packed into integers, each seat in a field as narrow as
 the state's values allow (see encode).  A state too large
 to hold is engine._Blocks: own_table answers its block profiles as it answers
-worlds, keyed by _key_fn over the blocks a speaker sees.
+worlds, keyed by _key_fn over the blocks a speaker sees.  run and sweep play
+a full-sight simultaneous game on block profiles from its first step on,
+keyed by integer codes instead (see engine._Blocks._heard).
 """
 
 from __future__ import annotations

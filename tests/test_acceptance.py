@@ -370,14 +370,14 @@ def test_criterion_11_puzzle_pattern_sweep():
 @pytest.mark.slow
 def test_criterion_11_family_sweep_matches_world_root_slow():
     # every world of the confirmation run's family as the actual world: the
-    # sweep plays on value profiles, and each row must be the world root's
+    # sweep plays on block profiles, and each row must be the world root's
     family = Scenario("p11", agents(6), MaxDiffExact(3, 34), Full(), Simultaneous(20), None)
     rows = sweep(family).rows
     with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
         expected = sweep(family).rows
     assert len(rows) == len(expected) == 86_464
     assert rows == expected
-    ok(11, "full-sight family sweep: 86,464 rows from profiles equal the world root's")
+    ok(11, "full-sight family sweep: 86,464 rows from block profiles equal the world root's")
 
 
 # -- 12 ------------------------------------------------------------------------
@@ -636,3 +636,19 @@ def test_fixture_corpus_gate(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     ok("**", "shipped fixture corpus verifies clean (top-level gate)")
+
+
+def test_full_sight_fixtures_learn_in_the_profile_evaluators_rounds():
+    # every fixture that run plays on block profiles from one block (full sight,
+    # simultaneous) against run_profiles' table, which no run reads
+    played = 0
+    for path in sorted(FIXTURES.glob("*.ck")):
+        sc = dsl.parse_file(str(path))
+        if path.name.endswith(".slow.ck") or engine.run_path(sc, sc.visibility()) != "profiles":
+            continue
+        table = run_profiles(profile_universe(sc.constraint, sc.n_agents), sc.protocol.max_rounds)
+        firsts = table[tuple(sorted(sc.actual))]
+        assert first_rounds(run(sc)) == [firsts[v] for v in sc.actual], path.name
+        played += 1
+    assert played == 11
+    ok("**", "the 11 full-sight simultaneous fixtures learn in the rounds of the profile evaluator's table")

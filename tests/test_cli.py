@@ -126,7 +126,7 @@ def test_verify_timings_go_to_stderr_only(tmp_path, capsys, monkeypatch):
     # one fixture passes, one fails its expectation, one has no expectation;
     # with a budget of 5 worlds blind_red_circular (7 worlds) starts on block profiles,
     # nearsighted_sim_n4 (4 worlds) is held and intro_two_reds, a full-sight
-    # simultaneous game, is played over value profiles whatever its size
+    # simultaneous game, is played over block profiles whatever its size
     for name in ("blind_red_circular", "intro_two_reds", "nearsighted_sim_n4"):
         (tmp_path / f"{name}.ck").write_text((FIXTURES / f"{name}.ck").read_text())
     for name in ("blind_red_circular", "nearsighted_sim_n4"):

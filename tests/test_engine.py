@@ -8,7 +8,8 @@ from unittest import mock
 
 import pytest
 
-from ckgames import engine, scenarios, worlds
+from ckgames import dsl, engine, scenarios, worlds
+from ckgames.cli import main
 from ckgames.engine import (
     EngineError,
     Eventual,
@@ -635,14 +636,17 @@ def test_a_profile_is_dealt_into_finer_blocks_once_per_distinct_deal(profile, bl
                          ids=["line5", "blind7", "full7"])
 def test_a_block_cell_stands_for_the_worlds_the_held_state_keeps(monkeypatch, game, actual, simultaneous):
     # two rounds of steps on block profiles and on the held universe side by side:
-    # each step gives the same answers, the cell's worlds, arranged by its hand-off,
-    # are the held part's, and its candidates are the values the part's seats hold
+    # each step gives the same answers, the cell's worlds, each profile dealt into
+    # single seats, are the held part's, and its candidates are the values the part's
+    # seats hold.  A step in which every seat speaks and sees every other (full7's
+    # simultaneous one) is never handed off; any other is, once it fits, in lex order
     constraint, sight, default, _ = game
     actual = actual or default
     n = len(actual)
     protocol = Simultaneous(2) if simultaneous else Circular(tuple(range(n)), 2)
     sc = Scenario("s", tuple(f"a{i}" for i in range(n)), constraint, sight, protocol, actual)
     vis = sc.visibility()
+    heard = simultaneous and len(vis.full_sight) == n
     monkeypatch.setattr(engine, "STREAM_THRESHOLD", 0)
     cell, held = engine._Blocks.root(sc), sc.universe()
     assert len(cell) == len(held)
@@ -655,14 +659,20 @@ def test_a_block_cell_stands_for_the_worlds_the_held_state_keeps(monkeypatch, ga
         monkeypatch.setattr(engine, "STREAM_THRESHOLD", 0)
         assert said == answers
         assert isinstance(narrowed, engine._Blocks) and len(narrowed) == len(held)
-        assert arranged.worlds == held.worlds
+        seats = sum(narrowed.blocks, ())
+        dealt = engine._dealt(narrowed.live, narrowed.blocks, tuple((i,) for i in seats))
+        assert sorted(tuple(prof[seats.index(i)][0] for i in range(n)) for prof in dealt) == list(held.worlds)
+        if heard:
+            assert isinstance(arranged, engine._Blocks) and arranged.live == narrowed.live
+        else:
+            assert arranged.worlds == held.worlds
         assert narrowed.candidates() == [set(column) for column in zip(*held.worlds)]
         cell = narrowed
 
 
 def test_profile_evaluator_agrees_with_engine():
-    # run_profiles' table against the sweep rows of the world root, for every
-    # class; a full-sight simultaneous sweep would otherwise read the table itself
+    # run_profiles' table against the sweep rows of the world root and of the
+    # default path, block cells, for every class; no sweep reads the table
     families = [(MaxDiffExact(d, 4), n) for n in (3, 4) for d in (1, 2)] + [
         (HatsAtLeast(0, 1, 2), 5),
         (HatsAtLeast(0, 1, 2), 6),
@@ -679,13 +689,14 @@ def test_profile_evaluator_agrees_with_engine():
         family = Scenario("m", tuple(f"a{i}" for i in range(n)), c, Full(),
                           Simultaneous(30), None)
         with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
-            rows = sweep(family).rows
-        for row in rows:
-            prof = tuple(sorted(row.world))
-            for i, v in enumerate(row.world):
-                got = row.eventual[i]
-                expect = table[prof][v]
-                assert (got.round if got.kind == "learns" else None) == expect, (c, n, row.world)
+            held = sweep(family).rows
+        for rows in (held, sweep(family).rows):
+            for row in rows:
+                prof = tuple(sorted(row.world))
+                for i, v in enumerate(row.world):
+                    got = row.eventual[i]
+                    expect = table[prof][v]
+                    assert (got.round if got.kind == "learns" else None) == expect, (c, n, row.world)
 
 
 class _CountedSha:
@@ -739,6 +750,48 @@ def test_full_sight_run_above_the_materialize_limit_never_generates():
     assert [e.round if e.kind == "learns" else None for e in t.eventual] == [firsts[v] for v in sc.actual]
     sizes = [e.state_size for e in t.events]
     assert all(0 < b <= a for a, b in zip([t.initial_size] + sizes, sizes))
+
+
+SOP720 = """scenario "sop-720" {
+  agents a b c d e f
+  announce sop 720
+  sight full
+  protocol simultaneous rounds 10
+  actual [ 1 1 2 3 4 30 ]
+}
+"""
+
+
+def test_an_oversized_full_sight_simultaneous_game_is_refused_before_any_profile_is_made(tmp_path, monkeypatch):
+    # 1,579,102,469,519 worlds over 6 seats: even if every one-block profile stood for 6!
+    # worlds there would be 2,193,197,874 of them, past MATERIALIZE_LIMIT, so the root
+    # refuses the game without drawing one profile; ck run exits 2
+    def profiles(self, n):
+        raise AssertionError("a profile was made")
+        yield
+
+    monkeypatch.setattr(SumOrProduct, "profiles", profiles)
+    path = tmp_path / "sop720.ck"
+    path.write_text(SOP720)
+    sc = dsl.parse_file(str(path))
+    assert sc.constraint.count_worlds(6) == 1_579_102_469_519
+    assert engine.run_path(sc, sc.visibility()) == "profiles"
+    with pytest.raises(EngineError, match="at least 2193197874 block profiles"):
+        run(sc)
+    assert main(["run", str(path)]) == 2
+
+
+def test_full_sight_simultaneous_games_never_call_the_profile_evaluator(monkeypatch):
+    # run_profiles' table is an independent check of these runs and sweeps only
+    # while no engine path reads it
+    for name in ("run_profiles", "profile_universe"):
+        monkeypatch.setattr(engine, name, mock.Mock(side_effect=AssertionError(f"{name} was called")))
+    sc = Scenario("c11", tuple(f"a{i}" for i in range(6)), MaxDiffExact(3, 34), Full(), Simultaneous(20),
+                  (1, 1, 2, 2, 2, 4))
+    assert engine.run_path(sc, sc.visibility()) == "profiles"
+    assert [e.round for e in run(sc).eventual] == [3, 3, 4, 4, 4, 1]  # the published pattern (1, 0, 2, 3)
+    family = Scenario("h", tuple(f"a{i}" for i in range(5)), HatsAtLeast(0, 1, 2), Full(), Simultaneous(6), None)
+    assert len(sweep(family).rows) == 31
 
 
 @pytest.mark.parametrize("sight, protocol, path", [

@@ -481,9 +481,11 @@ def full_sight_families(draw):
 @settings(max_examples=30, deadline=None)
 @given(full_sight_families())
 def test_profile_path_matches_world_path(family):
-    # every world of the family, played by run from each of its three roots:
-    # value profiles, the held universe and block profiles
+    # every world of the family, played by run from each of its three roots: block
+    # profiles under the identity, the held universe and block profiles under the
+    # sweep group; each seat learns in the round run_profiles' table gives its value
     vis = family.visibility()
+    table = run_profiles(profile_universe(family.constraint, family.n_agents), family.protocol.max_rounds)
     for actual in gen_universe(family.constraint, family.n_agents):
         sc = dataclasses.replace(family, actual=actual)
         assert engine.run_path(sc, vis) == "profiles"
@@ -492,19 +494,21 @@ def test_profile_path_matches_world_path(family):
             with mock.patch.object(engine, "run_path", lambda sc, vis: path):
                 played.append(run(sc))
         assert played[0] == played[1] == played[2], actual
+        firsts = table[tuple(sorted(actual))]
+        assert [e.round if e.kind == "learns" else None for e in played[0].eventual] == [firsts[v] for v in actual]
 
 
 @settings(max_examples=30, deadline=None)
 @given(full_sight_families(), st.sampled_from([None, "rotation"]))
 def test_profile_sweep_matches_world_sweep(family, orbit):
-    # a full-sight simultaneous sweep plays on value profiles; every row,
+    # a full-sight simultaneous sweep plays on block profiles; every row,
     # digest and orbit size included, must be the world root's
     assert engine.run_path(family, family.visibility()) == "profiles"
     with mock.patch.object(engine, "run_path", lambda sc, vis: "materialized"):
         expected = sweep(family, orbit=orbit)
     with mock.patch.object(engine, "_play", side_effect=engine._play) as played:
         assert sweep(family, orbit=orbit) == expected
-    assert isinstance(played.call_args.args[1], engine._ProfileCell)
+    assert isinstance(played.call_args.args[1], engine._Blocks)
 
 
 @st.composite
