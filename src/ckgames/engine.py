@@ -12,7 +12,8 @@ without one yields "unknown".
 
 A run or a sweep of a simultaneous game in which every seat sees every other,
 and any other run above STREAM_THRESHOLD worlds, plays the same loop over
-block profiles (_Blocks; see run_path).
+block profiles (_Blocks; see run_path).  A sweep reads every row off its
+leaf's transcript through a map of the seats (_rows).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import and_, eq, is_not, itemgetter, not_
+from operator import and_, eq, itemgetter, not_
 from typing import Iterable, NamedTuple, Optional
 
 from . import scenarios
@@ -278,7 +279,7 @@ def _capped(profiles: Iterable, size: int, blocks: tuple, count=None) -> list:
     held = [] if least > limit else list(itertools.islice(profiles, limit + 1))
     if least > limit or len(held) > limit:
         raise EngineError(f"{size} worlds need at least {max(least, len(held))} block profiles over "
-                          f"{len(blocks)} blocks, more than the limit of {limit}")
+                          f"{len(blocks)} block{'s' * (len(blocks) > 1)}, more than the limit of {limit}")
     return held
 
 
@@ -527,8 +528,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     A simultaneous game in which every seat sees every other (run_path's
     "profiles") is refined over block profiles, one leaf per multiset of
     the seats' answer histories, and each world's row is read off its
-    profile's leaf (see _profile_rows; README gives its timings against the
-    world root).
+    profile's leaf (README gives its timings against the world root).
 
     Any other simultaneous game is quotiented by the seat permutations that
     map its sight graph onto itself (Emerson & Sistla 1996; Ip & Dill 1996):
@@ -544,9 +544,8 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     once per orbit of its worlds (see worlds.partition); any other cell is
     split without a group.
 
-    Digests are made at the leaves: each image hashes its leaf's step texts,
-    with every step's answers and size moved by its element, in one sha256
-    call.
+    Rows are made at the leaves, one digest per distinct transcript: each
+    row is its leaf's transcript read through a seat map (see _rows).
 
     A family of more than STREAM_THRESHOLD worlds, or of none, is refused
     with EngineError.
@@ -563,35 +562,7 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
         raise EngineError(f"family has {size} worlds, more than the {STREAM_THRESHOLD} a sweep may hold")
     if size == 0:
         raise EngineError("no world satisfies the announcement; there is nothing to sweep")
-    universe = scenario.universe()
-    vis = scenario.visibility()
-    if run_path(scenario, vis) == "profiles":
-        rows = _profile_rows(scenario, universe, vis)
-    else:
-        group = _sweep_group(vis, isinstance(scenario.protocol, scenarios.Simultaneous))
-        rows = []
-        learners_of: dict[tuple[bool, ...], frozenset[int]] = {}  # each moved learns vector -> its learners
-        repeat = itertools.repeat
-        for branch, stabilized in _play(scenario, universe, group):
-            eventual = _classify(n, branch.first_yes, stabilized)
-            learns = tuple([agent in branch.first_yes for agent in range(n)])
-            texts = [  # per step: its digest template, and each speaker's answer and size
-                (_template(rnd, turn, speakers), tuple([b"YES,%d" % size if answer else b"NO,%d" % size
-                                                        for answer in answers]))
-                for rnd, turn, speakers, answers, size in branch.steps
-            ]
-            for e in branch.images:
-                move = group.acts[e]
-                digest = hashlib.sha256(b"".join([template % move(words) for template, words in texts])).hexdigest()
-                moved = move(learns)
-                learners = learners_of.get(moved)
-                if learners is None:
-                    learners = learners_of[moved] = frozenset(itertools.compress(range(n), moved))
-                # tuple.__new__ makes each row without SweepRow's Python-level __new__; the last field is orbit_size
-                fields = zip(map(move, branch.state), repeat(move(eventual)), repeat(learners),
-                             repeat(digest), repeat(1))
-                rows += map(tuple.__new__, repeat(SweepRow), fields)
-        rows.sort(key=itemgetter(0))  # by world
+    rows = _rows(scenario, scenario.universe(), scenario.visibility())
 
     if orbit == "rotation":
         grouped: dict[World, list[SweepRow]] = {}
@@ -610,67 +581,95 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     return SweepReport(scenario.name, scenario.agents, tuple(rows))
 
 
-def _profile_rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: VisibilityGraph) -> list[SweepRow]:
-    """The sweep rows of a full-sight simultaneous family, in the order of `universe`, from a block root.
+@functools.cache
+def _learners(learns: tuple) -> frozenset[int]:
+    """The seats whose entry in `learns` is true."""
+    return frozenset(itertools.compress(range(len(learns)), learns))
 
-    _play refines the block root under the identity, and each step splits
-    a branch into one part per count of YES seats per block (see
-    _Blocks._heard), so its one stop rule sets every leaf's state sizes and
-    stop round.  Each profile lies in one leaf, and all copies of a value
-    in one of its blocks; the seats of a block said the same in every
-    step, so a value's class, its first-YES round and eventual, are the
-    block's first seat's.  A world's ordered classes are its seats'
-    values' classes, and its transcript says YES at seat i from the round
-    of i's class on, with the leaf's sizes.  A row's eventual tuple,
-    learners and digest are made once per distinct class vector.  A
-    profile's first such miss maps each of its values to its word in each
-    round, and hashes the rounds before its first YES, in which every seat
-    says NO; each miss copies that hash and formats each later round in
-    one call.
+
+def _rows(scenario: scenarios.Scenario, universe: KnowledgeState, vis: VisibilityGraph) -> list[SweepRow]:
+    """The sweep rows of the worlds of `universe`, in its order, from _play's leaves.
+
+    A row is its leaf's transcript read through a seat map m: seat i gives
+    the answers of the leaf's seat m[i].  A world leaf stands for its
+    images e, with m = group.perms[e], and their rows are the leaf's worlds
+    moved by group.acts[e], one digest per image.  A block leaf (run_path's
+    "profiles", refined under the identity) holds its profiles' worlds.
+    All copies of a value lie in one block of the leaf, whose seats said
+    the same in every step, so a world's m maps each seat to the first
+    seat of the block holding its value.  Its eventual tuple, learners and
+    digest are made once per distinct m within the leaf: the same map in
+    another leaf reads another transcript.
+
+    Each step whose answers are all equal is formatted once into its leaf's
+    text (see _baked); a map's digest text is one `%` call of that text
+    over the other steps' words read through m.
     """
     n = scenario.n_agents
-    where = {}  # profile -> (value -> first-YES round or None, value -> Eventual, its leaf's sizes)
-    for branch, stabilized in _play(scenario, _Blocks.root(scenario), SeatGroup(vis)):
-        cell = branch.state
+    on_blocks = run_path(scenario, vis) == "profiles"
+    if on_blocks:
+        root, group = _Blocks.root(scenario), SeatGroup(vis)
+    else:
+        root, group = universe, _sweep_group(vis, isinstance(scenario.protocol, scenarios.Simultaneous))
+    # (seat map m, step count k) -> the itemgetter that reads k steps' words, laid end to end, through m
+    getter = functools.cache(lambda m, k: itemgetter(*[j * n + i for j in range(k) for i in m]))
+    sha256, new, repeat = hashlib.sha256, tuple.__new__, itertools.repeat
+    rows, where = [], {}  # where: each block leaf's profile -> (value -> its seat in m, the leaf)
+    for branch, stabilized in _play(scenario, root, group):
         eventual = _classify(n, branch.first_yes, stabilized)
-        classes = [eventual[b[0]] for b in cell.blocks]
-        sizes = tuple([size for *_, size in branch.steps])
-        for prof in cell.live:
-            by_value = {v: e for e, values in zip(classes, prof) for v in values}
-            where[tuple(sorted(itertools.chain.from_iterable(prof)))] = (
-                {v: e.round for v, e in by_value.items()}, by_value, sizes)
-    seats = tuple(range(n))
-    templates = [None] + [_template(rnd, rnd, seats) for rnd in range(1, scenario.protocol.max_rounds + 1)]
-    made = {}  # ordered class vector -> (eventual, learners, digest)
-    maps = {}  # profile -> (the all-NO rounds' sha256, (template, value -> word) per later round)
-    learners_of = {}  # learns vector -> its learners
-    rows = []
+        learns = tuple([agent in branch.first_yes for agent in range(n)])
+        text, words = _baked(branch.steps)
+        k = len(words) // n  # the unbaked steps: every seat speaks in each
+        state, images = branch.state, branch.images
+        if on_blocks:
+            leaf = ({}, text, words, k, eventual, learns)  # its own rows' last four fields per map
+            for prof in state.live:
+                seat_of = {v: b[0] for b, values in zip(state.blocks, prof) for v in values}
+                where[tuple(sorted(itertools.chain.from_iterable(prof)))] = (seat_of, leaf)
+        elif images == [0]:  # the leaf stands for itself alone, through the identity
+            digest = sha256(text % tuple(words) if k else text).hexdigest()
+            rows += map(new, repeat(SweepRow), zip(state, repeat(eventual), repeat(_learners(learns)),
+                                                    repeat(digest), repeat(1)))
+        else:
+            acts = [group.acts[e] for e in images]
+            texts = [text % getter(group.perms[e], k)(words) for e in images] if k else [text] * len(images)
+            found = zip(acts, [act(eventual) for act in acts], [_learners(act(learns)) for act in acts],
+                        [sha256(t).hexdigest() for t in texts])
+            # tuple.__new__ makes each row without SweepRow's Python-level __new__; the last field is orbit_size
+            rows += map(new, repeat(SweepRow), [(act(w), moved, learners, digest, 1)
+                                                for act, moved, learners, digest in found for w in state])
+    if not on_blocks:
+        rows.sort(key=itemgetter(0))  # by world
+        return rows
     for w in universe:
-        prof = tuple(sorted(w))
-        row, eventual, sizes = where[prof]
-        classes = tuple(map(row.__getitem__, w))
-        found = made.get(classes)
+        seat_of, (made, text, words, k, eventual, learns) = where[tuple(sorted(w))]
+        m = tuple(map(seat_of.__getitem__, w))
+        found = made.get(m)
         if found is None:
-            per = maps.get(prof)
-            if per is None:  # the leaf played every round up to the last class (see _play's stop rule)
-                quiet = min([f for f in row.values() if f is not None], default=len(sizes) + 1) - 1  # all-NO rounds
-                per = maps[prof] = (
-                    hashlib.sha256(b"".join([templates[rnd] % ((b"NO,%d" % size,) * n)
-                                             for rnd, size in enumerate(sizes[:quiet], 1)])),
-                    [(templates[rnd], {v: b"YES,%d" % size if f is not None and f <= rnd else b"NO,%d" % size
-                                       for v, f in row.items()}) for rnd, size in enumerate(sizes[quiet:], quiet + 1)],
-                )
-            digest, later = per
-            digest = digest.copy()
-            for template, word in later:
-                digest.update(template % tuple(map(word.__getitem__, w)))
-            learns = tuple(map(is_not, classes, itertools.repeat(None)))
-            learners = learners_of.get(learns)
-            if learners is None:
-                learners = learners_of[learns] = frozenset(itertools.compress(seats, learns))
-            found = made[classes] = (tuple(map(eventual.__getitem__, w)), learners, digest.hexdigest())
-        rows.append(SweepRow(w, *found))
+            pick = itemgetter(*m)
+            if k:  # one step's words are read as the eventual tuple is
+                text %= (pick if k == 1 else getter(m, k))(words)
+            found = made[m] = (pick(eventual), _learners(pick(learns)), sha256(text).hexdigest(), 1)
+        rows.append(new(SweepRow, (w, *found)))
     return rows
+
+
+def _baked(steps) -> tuple[bytes, list]:
+    """(a leaf's transcript_digest text, the words of its unbaked steps laid end to end).
+
+    Each step whose answers are all equal (every circular step too) is
+    formatted into the text.  Every other step keeps a %s per speaker, and
+    its speakers' words ("YES,size" or "NO,size") go into the list.
+    """
+    parts, words = [], []
+    for rnd, turn, speakers, answers, size in steps:
+        template = _template(rnd, turn, speakers)
+        if answers.count(answers[0]) == len(answers):
+            parts.append(template % ((b"YES,%d" % size if answers[0] else b"NO,%d" % size,) * len(answers)))
+        else:
+            parts.append(template)
+            words += [b"YES,%d" % size if answer else b"NO,%d" % size for answer in answers]
+    return b"".join(parts), words
 
 
 def _min_rotation(w: World) -> World:

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -42,6 +43,7 @@ from ckgames.scenarios import (
 )
 
 R, B = 0, 1
+SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 
 
 def hats(name, actual, protocol, n_colors=2):
@@ -719,10 +721,11 @@ class _CountedSha:
 @pytest.mark.parametrize("constraint, n, distinct", [(HatsAtLeast(0, 1, 2), 8, True), (MaxDiffExact(2, 6), 4, False)],
                          ids=["hats8", "maxdiff4"])
 def test_profile_rows_make_one_digest_per_distinct_class_vector(monkeypatch, constraint, n, distinct):
-    # a full-sight simultaneous sweep reads each world's row off its ordered class vector,
-    # its seats' first-YES rounds; worlds with the same vector share eventuals, learners
-    # and transcript, so one digest is made per vector.  Every hats world has a vector of
-    # its own, and the max-difference worlds share them
+    # engine._rows reads each world of a full-sight simultaneous sweep off its block leaf
+    # through a seat map, made once per distinct map in the leaf; worlds with the same
+    # ordered class vector, their seats' first-YES rounds, share eventuals, learners and
+    # transcript, so one digest is made per vector.  Every hats world has a vector of its
+    # own, and the max-difference worlds share them
     family = Scenario("f", tuple(f"a{i}" for i in range(n)), constraint, Full(), Simultaneous(n + 1), None)
     table = run_profiles(profile_universe(constraint, n), n + 1)
     universe = family.universe()
@@ -733,6 +736,24 @@ def test_profile_rows_make_one_digest_per_distinct_class_vector(monkeypatch, con
     monkeypatch.setattr(engine, "hashlib", mock.Mock(sha256=lambda data=b"": _CountedSha(made, hashlib.sha256(data))))
     assert sweep(family) == expected
     assert len(made) == len(vectors)
+
+
+@pytest.mark.parametrize("family", [
+    Scenario("far9", tuple(f"a{i}" for i in range(9)), HatsExactly(R, 3, 2), FarCircle(), Simultaneous(8), None),
+    dsl.parse_file(str(SWEEPS / "emperor10.ck")),
+], ids=["far-9-3", "emperor10"])
+def test_world_leaves_make_one_digest_per_image(monkeypatch, family):
+    # engine._rows makes one sha256 digest per (leaf, image) of a quotiented sweep, and
+    # every (leaf, image) stands for cells with a transcript of their own
+    vis = family.visibility()
+    group = engine._sweep_group(vis, True)
+    assert len(group.perms) > 1
+    images = sum([len(branch.images) for branch, _ in engine._play(family, family.universe(), group)])
+    expected = sweep(family)
+    made = []
+    monkeypatch.setattr(engine, "hashlib", mock.Mock(sha256=lambda data=b"": _CountedSha(made, hashlib.sha256(data))))
+    assert sweep(family) == expected
+    assert len(made) == images == len({row.digest for row in expected.rows}) < len(expected.rows)
 
 
 def test_full_sight_run_above_the_materialize_limit_never_generates():
@@ -762,7 +783,7 @@ SOP720 = """scenario "sop-720" {
 """
 
 
-def test_an_oversized_full_sight_simultaneous_game_is_refused_before_any_profile_is_made(tmp_path, monkeypatch):
+def test_an_oversized_full_sight_simultaneous_game_is_refused_before_any_profile_is_made(tmp_path, monkeypatch, capsys):
     # 1,579,102,469,519 worlds over 6 seats: even if every one-block profile stood for 6!
     # worlds there would be 2,193,197,874 of them, past MATERIALIZE_LIMIT, so the root
     # refuses the game without drawing one profile; ck run exits 2
@@ -776,9 +797,13 @@ def test_an_oversized_full_sight_simultaneous_game_is_refused_before_any_profile
     sc = dsl.parse_file(str(path))
     assert sc.constraint.count_worlds(6) == 1_579_102_469_519
     assert engine.run_path(sc, sc.visibility()) == "profiles"
-    with pytest.raises(EngineError, match="at least 2193197874 block profiles"):
+    message = ("1579102469519 worlds need at least 2193197874 block profiles over 1 block, "
+               "more than the limit of 2000000")
+    with pytest.raises(EngineError) as refused:
         run(sc)
+    assert str(refused.value) == message
     assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_full_sight_simultaneous_games_never_call_the_profile_evaluator(monkeypatch):
