@@ -3,7 +3,8 @@
 Both protocols follow the same loop: split the knowledge state by the truthful
 YES/NO announcements its worlds would give, record the announcements, and keep
 the part in which those exact announcements would have been made (a run keeps
-the actual world's part, a sweep every part).  A branch stops when everyone has
+the actual world's part, a sweep every part, or one per class of answer vectors
+under the seat group; no other part is built).  A branch stops when everyone has
 said YES, when a full round certifies a fixpoint (no world eliminated and no
 first-time YES), or at the horizon.
 
@@ -264,8 +265,16 @@ class _Blocks:
 
 def _worlds(blocks: tuple, live: list) -> int:
     """The worlds that the profiles `live` over `blocks` stand for."""
-    seats, repeats = math.prod(map(math.factorial, map(len, blocks))), functools.cache(_repeats)
-    return sum([seats // math.prod(map(repeats, prof)) for prof in live])
+    seats, repeats = math.prod(map(math.factorial, map(len, blocks))), _Repeats()  # a memo for this call alone
+    return sum([seats // math.prod(map(repeats.__getitem__, prof)) for prof in live])
+
+
+class _Repeats(dict):
+    """_repeats of each sequence looked up, computed on its first lookup."""
+
+    def __missing__(self, values):
+        self[values] = out = _repeats(values)
+        return out
 
 
 def _capped(profiles: Iterable, size: int, blocks: tuple, count=None) -> list:
@@ -323,8 +332,9 @@ def _play(
 
     A round is a list of steps: all agents at once (simultaneous) or one agent
     per step in `order` (circular).  Each step splits every branch by the
-    speakers' truthful answers, and each part becomes a child branch that
-    records the step; with an actual world only the child holding it is kept.
+    speakers' truthful answers, and each kept part becomes a child branch
+    that records the step; with an actual world only the part holding it is
+    built (see _children).
     A branch stops when every answer of a round was YES, or when the round
     left its size and its number of learners unchanged (a certified fixpoint).
 
@@ -373,55 +383,42 @@ def _template(rnd: int, turn: int, speakers: tuple) -> bytes:
 
 
 def _children(branch: _Branch, speakers, rnd: int, turn: int, group: SeatGroup, actual):
-    """One child per part of the branch's state after `speakers` answer truthfully.
+    """One child per part that the branch keeps after `speakers` answer truthfully.
 
-    With an actual world, only the child holding it; a state that is not
-    held (a _Blocks) narrows itself to its parts.  Every
-    element of the group maps a branch with images [0] onto itself, so it
-    moves each part onto the part with the moved answers, and the split
-    builds tables for one seat per orbit (see worlds.partition).  Such a
-    part stands for its cosets: its images are the first element giving each
-    distinct moved answer vector, and a sweep keeps only the first part of
-    each class.  Any other branch is split without a group, and its parts
-    keep its images as they are: the branch it came from stood for itself
-    alone, so they are distinct cosets of the whole group.  Runs and sweeps
-    take the same rule.
+    worlds.partition builds only the parts kept of a held state, each with
+    the codes its state handed on, so a state is encoded once for all the
+    states below it: with an actual world the part holding it, and without
+    one every part, or one part per class under the group.  A state that is
+    not held (a _Blocks) narrows itself to its parts.  Every element of the
+    group maps a branch with images [0] onto itself, so that branch is split
+    through the whole group, and each part stands for its cosets: its images
+    are the first element giving each distinct moved answer vector
+    (SeatGroup.images).  Any other branch is split without a group, and its
+    parts keep its images as they are: the branch it came from stood for
+    itself alone, so they are distinct cosets of the whole group.  Runs and
+    sweeps take the same rule.
 
     A step whose speakers have all said YES in the branch is not split: each
     of them said it in every world of the branch, and a seat that knows its
     value still knows it in every subset of the state, so the one child is
-    all YES and holds the branch's own state.  A split part, once kept, is
-    held with the codes its state handed on (see worlds.partition), so a
-    state is encoded once for all the states below it.
+    all YES and holds the branch's own state.  A child shares its parent's
+    first_yes unless one of its speakers says YES for the first time; no
+    first_yes is changed once made.
     """
-    symmetric = len(branch.images) == 1
-    codes = None  # a split's parts' codes
-    if all([agent in branch.first_yes for agent in speakers]):
-        parts = [((YES,) * len(speakers), branch.state)]
+    whole = len(branch.images) == 1 and len(group.perms) > 1  # split through the whole group
+    first_yes = branch.first_yes
+    if all([agent in first_yes for agent in speakers]):
+        parts = [((YES,) * len(speakers), branch.state, None)]
     elif not isinstance(branch.state, KnowledgeState):
-        parts = branch.state.narrowed(speakers, group.vis, actual)
+        parts = [(answers, state, group.images(answers) if whole else None)
+                 for answers, state in branch.state.narrowed(speakers, group.vis, actual)]
     else:
-        split_parts, codes = partition(branch.state, speakers, group.vis, group if symmetric else None)
-        parts = [(answers, worlds) for answers, worlds in split_parts.items() if actual is None or actual in worlds]
-    learned = Eventual.learns(rnd, turn)
-    kept = set()
-    for answers, state in parts:
-        if answers in kept:
-            continue
-        if isinstance(state, list):  # a split part, wrapped with its codes once kept
-            state = KnowledgeState(tuple(state), codes and codes[answers])
-        images = branch.images
-        if symmetric:
-            cosets: dict[tuple[bool, ...], int] = {}  # each moved answer vector -> the first element giving it
-            for h, act in enumerate(group.acts):
-                cosets.setdefault(act(answers), h)
-            kept.update(cosets)
-            images = list(cosets.values())
-        first_yes = dict(branch.first_yes)
-        for agent, answer in zip(speakers, answers):
-            if answer:
-                first_yes.setdefault(agent, learned)
-        yield _Branch(state, branch.steps + ((rnd, turn, speakers, answers, len(state)),), first_yes, images)
+        parts = partition(branch.state, speakers, group.vis, group if whole else None, actual)
+    for answers, state, images in parts:
+        learned = [agent for agent, answer in zip(speakers, answers) if answer and agent not in first_yes]
+        yield _Branch(state, branch.steps + ((rnd, turn, speakers, answers, len(state)),),
+                      {**first_yes, **dict.fromkeys(learned, Eventual.learns(rnd, turn))} if learned else first_yes,
+                      branch.images if images is None else images)
 
 
 _NEVER, _UNKNOWN = Eventual.never(), Eventual.unknown()
@@ -521,8 +518,9 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
 
     Worlds that hear the same announcements share their whole continuation, so
     the family is processed by partition refinement (Paige & Tarjan 1987): the
-    round driver keeps every part of every split, and each leaf is exactly the
-    final state of the worlds inside it.  This is semantically identical to
+    round driver keeps every part of every split, or one per class under the
+    seat group, and each leaf is exactly the final state of the worlds inside
+    it.  This is semantically identical to
     calling run() per world.
 
     A simultaneous game in which every seat sees every other (run_path's
@@ -541,8 +539,8 @@ def sweep(scenario: scenarios.Scenario, orbit: Optional[str] = None) -> SweepRep
     and eventual tuple moved by a permutation.  A cell that every
     permutation of the group leaves as it is (the universe always) is split
     with tables for one seat per orbit of the group on the seats, answering
-    once per orbit of its worlds (see worlds.partition); any other cell is
-    split without a group.
+    once per orbit of its worlds, into one part per class of answer vectors
+    (see worlds.partition); any other cell is split without a group.
 
     Rows are made at the leaves, one digest per distinct transcript: each
     row is its leaf's transcript read through a seat map (see _rows).

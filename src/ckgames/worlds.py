@@ -6,15 +6,18 @@ still consistent with everything publicly announced so far.  Filtering a
 state on an announcement keeps exactly the worlds in which that announcement
 would have been made.
 
-The announcement kernel, partition (split keeps its worlds alone), answers a
-speaker who sees only some seats through a table of its observation keys, and
-a speaker who sees every other seat, in a state of at least CODED_FROM worlds,
-off the state's worlds packed into integers, each seat in a field as narrow as
-the state's values allow (see encode).  A state too large
-to hold is engine._Blocks: own_table answers its block profiles as it answers
-worlds, keyed by _key_fn over the blocks a speaker sees.  run and sweep play
-a full-sight simultaneous game on block profiles from its first step on,
-keyed by integer codes instead (see engine._Blocks._heard).
+The announcement kernel, partition, builds only the parts a branch keeps: the
+actual world's in a run, and in a sweep every part, or under a seat group one
+part per class of answer vectors with the group elements that move it onto the
+others (split gives every part's worlds alone).  It answers a speaker who sees
+only some seats through a table of its observation keys, and a speaker who
+sees every other seat, in a state of at least CODED_FROM worlds, off the
+state's worlds packed into integers, each seat in a field as narrow as the
+state's values allow (see encode).  A state too large to hold is
+engine._Blocks: own_table answers its block profiles as it answers worlds,
+keyed by _key_fn over the blocks a speaker sees.  run and sweep play a
+full-sight simultaneous game on block profiles from its first step on, keyed
+by integer codes instead (see engine._Blocks._heard).
 """
 
 from __future__ import annotations
@@ -243,8 +246,8 @@ class SeatGroup:
     tables for the first seat r of each orbit of the group on the seats
     only: in `plan`, `route` holds per seat s the key function that reads
     r's observation in p(w) straight off w, and r's place among `firsts`.
-    The split answers one world per orbit of worlds and gives the other
-    members the answers moved by the acts.
+    The split answers one world per orbit of worlds, and each other member
+    holds the answers moved by the act that takes the first to it.
     """
 
     def __init__(self, vis: VisibilityGraph, generators: Iterable[Sequence[int]] = ()):
@@ -285,75 +288,112 @@ class SeatGroup:
                 firsts.append(r)
         return tuple(firsts), tuple(route)
 
+    def images(self, answers: tuple) -> list[int]:
+        """The first element giving each distinct vector that the elements move `answers` to, in element order."""
+        return _firsts([act(answers) for act in self.acts])
 
-def split(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None) -> dict:
+
+def _firsts(moved: list) -> list[int]:
+    """The place of the first of each distinct item of `moved`, in order."""
+    firsts: dict = {}
+    for e, v in enumerate(moved):
+        firsts.setdefault(v, e)
+    return list(firsts.values())
+
+
+def split(state: KnowledgeState, speakers, vis: VisibilityGraph) -> dict:
     """Group the worlds of `state` by the speakers' truthful answers.
 
     Maps each answer tuple (in `speakers` order) to the list of worlds giving
-    it, each list in the order of `state`; see partition.
+    it, each list in the order of `state`: every part of partition with no
+    group and no actual world.
     """
-    return partition(state, speakers, vis, group)[0]
+    return {answers: list(part) for answers, part, _ in partition(state, speakers, vis)}
 
 
-def partition(state: Iterable[World], speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None) -> tuple:
-    """(split's parts, each answer tuple to its part's codes), or (parts, None) when the parts carry no codes.
+def partition(state: KnowledgeState, speakers, vis: VisibilityGraph, group: Optional[SeatGroup] = None,
+              actual: Optional[World] = None) -> list:
+    """The parts of `state` that a branch keeps after the speakers answer truthfully: (answers, part, images) each.
+
+    A part is a KnowledgeState of the worlds giving one answer tuple (in
+    `speakers` order), in the order of `state`.  With an `actual` world, a
+    world of `state`, only the part holding it is built.  Without one,
+    every part is, or under a group one part per class.
 
     A `group` is a SeatGroup of `vis` under which `state` is closed, and it
     needs every agent to speak, in seat order.  A universe built by
     scenarios.gen_universe is closed under every permutation of the seats
     (see scenarios), so under any SeatGroup.  For p in the group, agent i
     sees in p(w) what agent p[i] sees in w, so the answers of p(w) are the
-    answers of w moved by p.  Tables are built for the first seat of each
+    answers of w moved by p, and p moves each part onto the part of the
+    moved answers.  A class is an answer vector with every vector that an
+    element moves it to; a sweep keeps the part of its first vector met in
+    the order of `state`.  Tables are built for the first seat of each
     orbit of the group on the seats, and each orbit of worlds is answered
-    once; its other members get the moved answers.  Parts of a group split
-    carry no codes.
+    once (see _orbit_parts).  A part of a group split carries no codes, and
+    its images are the first element giving each distinct moved answer
+    vector (SeatGroup.images): moved by them, it is every part of its
+    class.  Without a group, or with the identity alone, images is None:
+    each part stands for what `state` stood for.
 
-    Without a group, or with the identity alone, a speaker who sees only
-    some seats is answered off a table of its observation keys, each key
-    computed once (own_table).  So is every speaker in a state of fewer
-    than CODED_FROM worlds.  In a held KnowledgeState of at least that many,
-    a speaker who sees every other seat is answered off the state's codes,
-    encoded the first time such a speaker speaks (see coded_column).  The
-    codes of a state that has them are handed on to its parts, so no state
-    below it is encoded again.  A one-speaker step cuts its two parts out
-    with itertools.compress, and a step of more speakers groups its worlds
-    by their answer vectors; a part's codes are cut by the same mask, or
-    the same grouping, as its worlds.
+    Without a group, a speaker who sees only some seats is answered off a
+    table of its observation keys, each key computed once (own_table).  So
+    is every speaker in a state of fewer than CODED_FROM worlds.  In a state
+    of at least that many, a speaker who sees every other seat is answered
+    off the state's codes, encoded the first time such a speaker speaks
+    (see coded_column).  The codes of a state that has them are handed on
+    to its parts, so no state below it is encoded again.  A part is cut out
+    with itertools.compress over its answer mask: a run's one part, or the
+    two of a one-speaker step.  A sweep's step of more speakers groups its
+    worlds by their answer vectors.  A part's codes are cut by the same
+    mask, or the same grouping, as its worlds.
     """
     if group is not None and group.vis is not vis and group.vis != vis:
         raise ContractViolation("the seat group was set up for another sight graph")
     plain = group is None or len(group.perms) == 1
     if not plain and tuple(speakers) != tuple(range(vis.n_agents)):
         raise ContractViolation("a group split needs every agent in seat order")
-    if len(state) == 1:  # every key matches one world, so every speaker knows
-        return {(YES,) * len(speakers): list(state)}, None
+    held = state.worlds
+    if len(held) == 1:  # every key matches one world, so every speaker knows
+        return [((YES,) * len(speakers), KnowledgeState(held), None if plain else [0])]
     if not plain:
         firsts, route = group.plan
-        tables = [own_table(map(vis.keys[r], state), state, r) for r in firsts]  # keys not held, for peak memory
-        return _grouped(state, _answers_per_orbit(state, [(key, tables[f]) for key, f in route], group.acts)), None
+        tables = [own_table(map(vis.keys[r], held), held, r) for r in firsts]  # keys not held, for peak memory
+        return _orbit_parts(held, [(key, tables[f]) for key, f in route], group, actual)
     coded = None
-    if len(state) >= CODED_FROM and isinstance(state, KnowledgeState):
+    if len(held) >= CODED_FROM:
         coded = state.codes
         if coded is None and not vis.full_sight.isdisjoint(speakers):
             coded = state.coded()
-    columns = []
+    columns, mine, at = [], [], None  # mine: the actual world's answers; at: its place, once a coded column needs it
     for agent in speakers:  # one speaker's keys held at a time
         if coded and agent in vis.full_sight:
             columns.append(coded_column(coded, agent))
+            if actual is not None:
+                at = held.index(actual) if at is None else at
+                mine.append(columns[-1][at])
         else:
-            keys = list(map(vis.keys[agent], state))
-            table = own_table(keys, state, agent)
+            key = vis.keys[agent]
+            keys = list(map(key, held))
+            table = own_table(keys, held, agent)
             columns.append([table[k] != MIXED for k in keys])
-    if len(columns) > 1:
-        vectors = list(zip(*columns))
-        cut = lambda seq: _grouped(seq, vectors)
-    else:
+            if actual is not None:
+                mine.append(table[key(actual)] != MIXED)
+    cut = lambda mask: KnowledgeState(tuple(compress(held, mask)), coded and (coded[0], list(compress(coded[1], mask))))
+    if len(columns) == 1:
         (said,) = columns
         if said.count(said[0]) == len(said):  # no world told apart
-            return {(said[0],): list(state)}, coded and {(said[0],): coded}
-        halves = ((YES,), said), ((NO,), list(map(not_, said)))
-        cut = lambda seq: {answers: list(compress(seq, mask)) for answers, mask in halves}
-    return cut(state), coded and {answers: (coded[0], codes) for answers, codes in cut(coded[1]).items()}
+            return [((said[0],), KnowledgeState(held, coded), None)]
+        if actual is not None:
+            return [(tuple(mine), cut(said if mine[0] else list(map(not_, said))), None)]
+        return [((YES,), cut(said), None), ((NO,), cut(list(map(not_, said))), None)]
+    if actual is not None:
+        mine = tuple(mine)
+        return [(mine, cut(list(map(mine.__eq__, zip(*columns)))), None)]
+    vectors = list(zip(*columns))
+    grouped = coded and _grouped(coded[1], vectors)
+    return [(answers, KnowledgeState(tuple(part), coded and (coded[0], grouped[answers])), None)
+            for answers, part in _grouped(held, vectors).items()]
 
 
 def _grouped(state: Iterable[World], vectors: Iterable) -> dict:
@@ -368,20 +408,50 @@ def _grouped(state: Iterable[World], vectors: Iterable) -> dict:
     return groups
 
 
-def _answers_per_orbit(state, plan, acts):
-    """Each world's answers in the order of `state`; the first world met of each
-    orbit is answered through `plan`, and the others get its answers moved."""
-    answered: dict[World, tuple[bool, ...]] = {}
-    images: dict[tuple[bool, ...], list[tuple[bool, ...]]] = {}  # answers -> moved by each element
-    for w in state:
-        answers = answered.get(w)
-        if answers is None:
-            answers = tuple([table[key(w)] != MIXED for key, table in plan])
-            moved = images.get(answers)
-            if moved is None:
-                moved = images[answers] = [act(answers) for act in acts]
-            answered.update(zip([act(w) for act in acts], moved))
-        yield answers
+def _orbit_parts(state, plan, group: SeatGroup, actual: Optional[World]) -> list:
+    """partition's parts under `group`: the first world met of each orbit is answered through `plan`.
+
+    Kept is the part of the actual world's answers, or with no actual world
+    the part of each class's first vector met: the vectors that the elements
+    move an answer vector to are its class, so a vector met later finds its
+    class's kept vector among them.  The walk meets the orbits
+    in the order of `state` through `unseen`, the state's own worlds of no
+    orbit met yet, which loses each orbit as it is met.  It answers the
+    orbit's first world w, and the world that element e moves w to holds
+    the answers moved by e, so it joins the kept part with those answers,
+    if there is one.  A second pass puts each kept world into its part in
+    the order of `state`.
+    """
+    acts = group.acts
+    kept: dict = {}  # each kept part's answer vector -> (its worlds, its images)
+    if actual is not None:  # a run keeps one part, whose answers are known before the walk
+        wanted = tuple([table[key(actual)] != MIXED for key, table in plan])
+        kept[wanted] = ([], group.images(wanted))
+    # each answer vector met -> (whether each element moves it to the kept vector of its class, that part), or ()
+    hits: dict = {}
+    part_of: dict = {}  # each kept world, as an element moved a first world to it -> its part's worlds
+    unseen = set(state)
+    # each world is looked up as the walk reaches it, after the orbits met before it have left `unseen`
+    for w in compress(state, map(unseen.__contains__, state)):  # the first world met of each orbit
+        orbit = [act(w) for act in acts]
+        unseen.difference_update(orbit)
+        answers = tuple([table[key(w)] != MIXED for key, table in plan])
+        hit = hits.get(answers)
+        if hit is None:
+            moved = [act(answers) for act in acts]  # its class
+            if actual is not None:
+                vector = wanted if wanted in moved else None
+            else:
+                vector = next(iter(kept.keys() & moved), None)  # the class's kept vector, once met
+                if vector is None:  # the first vector met of a new class
+                    vector = answers
+                    kept[vector] = ([], _firsts(moved))
+            hit = hits[answers] = () if vector is None else ([v == vector for v in moved], kept[vector][0])
+        if hit:
+            part_of.update(zip(compress(orbit, hit[0]), repeat(hit[1])))
+    for w in compress(state, map(part_of.__contains__, state)):
+        part_of[w].append(w)
+    return [(answers, KnowledgeState(tuple(part)), images) for answers, (part, images) in kept.items()]
 
 
 def answers_for_all(state: KnowledgeState, vis: VisibilityGraph) -> dict[World, tuple[bool, ...]]:

@@ -403,6 +403,36 @@ def tables_per_split(monkeypatch, sc, coded_seats=None):
     return calls
 
 
+@pytest.mark.parametrize("sight, protocol, coded_from", [
+    (NearCircle(), Simultaneous(8), worlds.CODED_FROM),
+    (FarCircle(), Simultaneous(8), worlds.CODED_FROM),
+    (NearLine(), Simultaneous(8), worlds.CODED_FROM),
+    (Blind(frozenset({0})), Simultaneous(8), 2),
+    (Blind(frozenset({0})), Circular(tuple(range(6)), 4), 2),
+    (NearLine(), Circular(tuple(range(6)), 4), worlds.CODED_FROM),
+], ids=["near-circle", "far-circle", "line", "blind-coded", "blind-circular-coded", "line-circular"])
+def test_a_run_builds_no_part_but_the_actual_worlds(monkeypatch, sight, protocol, coded_from):
+    # every split of a run returns one part, the one holding the actual world:
+    # under the seat group, off tables, or off codes.  No split groups the
+    # worlds of its state by answer vector, and the run plays as it does with
+    # every part built and the actual world's picked out (split)
+    sc = Scenario("k", tuple(f"a{i}" for i in range(6)), HatsAtLeast(R, 1, 2), sight, protocol, (0, 0, 1, 0, 1, 1))
+    monkeypatch.setattr(worlds, "CODED_FROM", coded_from)
+    found, grouped = [], []
+    real_partition, real_grouped = engine.partition, worlds._grouped
+    monkeypatch.setattr(engine, "partition", lambda *args: found.append((args, real_partition(*args))) or found[-1][1])
+    monkeypatch.setattr(worlds, "_grouped", lambda *args: grouped.append(args) or real_grouped(*args))
+    t = run(sc)
+    assert found and grouped == []
+    for (state, speakers, vis, group, actual), parts in found:
+        [(answers, part, _)] = parts
+        assert actual == sc.actual and list(part) == worlds.split(state, speakers, vis)[answers] and actual in part
+    monkeypatch.setattr(engine, "partition", lambda state, speakers, vis, group, actual: [
+        (answers, worlds.KnowledgeState(tuple(part)), None if group is None or len(group.perms) == 1
+         else group.images(answers)) for answers, part in worlds.split(state, speakers, vis).items() if actual in part])
+    assert run(sc) == t
+
+
 def test_run_quotient_builds_tables_for_one_seat(monkeypatch):
     # near-circle sight over 6 seats keeps the dihedral group, whose orbit on
     # the seats is all of them: the first split builds one table, not six
@@ -560,6 +590,23 @@ def test_streamed_simultaneous_agrees(constraint, sight, actual, size, budget):
     assert on_blocks(sc, budget) == direct
 
 
+@pytest.mark.parametrize("actual", [(1, 1, 1, 1, 10), (1, 1, 3, 1, 8)])
+def test_a_part_held_off_block_profiles_keeps_the_images_of_its_answers(monkeypatch, actual):
+    # line5 one world short of its budget: the first simultaneous step is played on
+    # block profiles, and the reversal moves the actual world's answers to another
+    # vector, so the held part stands for two cells.  With images [0] it would be
+    # split through the reversal, which does not map it onto itself
+    constraint, sight, _, size = LINE5
+    sc = Scenario("s", tuple("abcde"), constraint, sight, Simultaneous(4), actual)
+    direct = run(sc)
+    images = []
+    real = engine._children
+    monkeypatch.setattr(engine, "_children", lambda branch, *args: [
+        images.append((type(branch.state), child.images)) or child for child in real(branch, *args)])
+    assert on_blocks(sc, size - 1) == direct
+    assert images[0] == (engine._Blocks, [0, 1])
+
+
 def test_a_block_cell_hands_off_its_kept_worlds_in_lex_order(monkeypatch):
     # line5 under a budget of 1,530 worlds: seats 0 and 1 keep 1,539 and 1,529 of its
     # 1,540, so the first step stays on block profiles and the second is held
@@ -653,7 +700,7 @@ def test_a_block_cell_stands_for_the_worlds_the_held_state_keeps(monkeypatch, ga
     cell, held = engine._Blocks.root(sc), sc.universe()
     assert len(cell) == len(held)
     for speakers in ([tuple(range(n))] if simultaneous else [(s,) for s in range(n)]) * 2:
-        parts, _ = worlds.partition(held, speakers, vis)
+        parts = worlds.split(held, speakers, vis)
         answers, held = next((a, worlds.KnowledgeState(tuple(p))) for a, p in parts.items() if actual in p)
         [(said, narrowed)] = cell.narrowed(speakers, vis, actual)
         monkeypatch.setattr(engine, "STREAM_THRESHOLD", len(held))
@@ -720,7 +767,7 @@ class _CountedSha:
 
 @pytest.mark.parametrize("constraint, n, distinct", [(HatsAtLeast(0, 1, 2), 8, True), (MaxDiffExact(2, 6), 4, False)],
                          ids=["hats8", "maxdiff4"])
-def test_profile_rows_make_one_digest_per_distinct_class_vector(monkeypatch, constraint, n, distinct):
+def test_block_rows_make_one_digest_per_distinct_class_vector(monkeypatch, constraint, n, distinct):
     # engine._rows reads each world of a full-sight simultaneous sweep off its block leaf
     # through a seat map, made once per distinct map in the leaf; worlds with the same
     # ordered class vector, their seats' first-YES rounds, share eventuals, learners and

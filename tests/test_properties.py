@@ -43,6 +43,7 @@ from ckgames.worlds import (
     partition,
     split,
 )
+from helpers import assert_one_part_per_class, replay
 
 
 @st.composite
@@ -164,9 +165,7 @@ def test_split_matches_reference(case, data):
     with mock.patch.object(worlds, "CODED_FROM", 2):  # codes wherever a speaker sees every other seat
         assert split(state, speakers, vis) == expected
         # each part holds the codes handed on to it, and splits again as the reference does
-        parts, codes = partition(state, speakers, vis)
-        for answers, found in parts.items():
-            part = KnowledgeState(tuple(found), codes and codes[answers])
+        for answers, part, _ in partition(state, speakers, vis):
             again = data.draw(draw_speakers)
             assert split(part, again, vis) == reference_split(part, again, vis)
 
@@ -205,15 +204,44 @@ def symmetric_states(draw):
 @settings(max_examples=200, deadline=None)
 @given(symmetric_states(), st.data())
 def test_orbit_split_matches_plain_split(case, data):
-    # answering one world per orbit of the group must give the groups, and the
-    # order within each group, of answering every world from its own keys
+    # answering one world per orbit of the group must give, moved by each
+    # part's images, the groups, and the order within each group, of
+    # answering every world from its own keys; the identity alone gives them
+    # all as they are
     state, vis, group = case
     n = vis.n_agents
-    groups = split(state, range(n), vis, group)
-    assert groups == split(state, range(n), vis) == split(state, range(n), vis, SeatGroup(vis))
+    groups = split(state, range(n), vis)
+    assert {answers: list(part) for answers, part, _ in partition(state, range(n), vis, SeatGroup(vis))} == groups
+    assert_one_part_per_class(state, vis, group, partition(state, range(n), vis, group))
     for answers, worlds in groups.items():
         w = data.draw(st.sampled_from(worlds))
         assert answers == tuple(knows_own(i, w, state, vis) for i in range(n))
+
+
+@given(st.one_of(
+    world_states().map(lambda case: (case[0], case[2], None)),
+    wide_states().map(lambda case: (*case, None)),
+    symmetric_states(),
+), st.data())
+def test_a_runs_split_builds_only_the_actual_worlds_part(case, data):
+    # with an actual world, partition returns one part: the plain split's part
+    # holding it, with the codes of its worlds cut from the state's, or under
+    # a group the same part with the first element giving each moved vector
+    state, vis, group = case
+    n = vis.n_agents
+    speakers = range(n) if group else data.draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True))
+    actual = data.draw(st.sampled_from(state.worlds))
+    with mock.patch.object(worlds, "CODED_FROM", data.draw(st.sampled_from([2, worlds.CODED_FROM]))):
+        [(answers, part, images)] = partition(state, speakers, vis, group, actual)
+    assert actual in split(state, speakers, vis)[answers]
+    assert list(part) == split(state, speakers, vis)[answers]
+    if state.codes:  # encoded by this split, or by the one before
+        assert part.codes == (state.codes[0], [state.codes[1][state.worlds.index(w)] for w in part])
+    if group is None or len(group.perms) == 1:
+        assert images is None
+    else:
+        moved = [act(answers) for act in group.acts]
+        assert images == [e for e, v in enumerate(moved) if moved.index(v) == e]
 
 
 @pytest.mark.parametrize("sight,protocol,coded", [
@@ -392,28 +420,6 @@ def test_run_streamed_run_and_sweep_agree(family, data):
         assert lazy.stabilized_at == direct.stabilized_at
         assert lazy.final_candidates == direct.final_candidates
         assert transcript_digest(direct.events) == row.digest
-
-
-def replay(sc: Scenario):
-    """(events, eventual, stabilized_at, final candidates) of a simultaneous run,
-    answered by knows_own and filtered by filter_simultaneous, one round at a time."""
-    n, vis = sc.n_agents, sc.visibility()
-    state = gen_universe(sc.constraint, n)
-    events, first, stabilized = [], {}, None
-    for rnd in range(1, sc.protocol.max_rounds + 1):
-        answers = answer_vector(state, sc.actual, vis)
-        kept = filter_simultaneous(state, answers, vis)
-        events += [engine.Event(rnd, rnd, i, a, len(kept)) for i, a in enumerate(answers)]
-        learned = {i: engine.Eventual.learns(rnd, rnd) for i, a in enumerate(answers) if a and i not in first}
-        first.update(learned)
-        if all(answers) or (len(kept) == len(state) and not learned):
-            stabilized = rnd
-            break
-        state = kept
-    rest = engine.Eventual.never() if stabilized is not None else engine.Eventual.unknown()
-    eventual = tuple(first.get(i, rest) for i in range(n))
-    candidates = tuple(tuple(sorted({w[i] for w in kept})) for i in range(n))
-    return tuple(events), eventual, stabilized, candidates
 
 
 @settings(max_examples=40, deadline=None)

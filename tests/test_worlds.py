@@ -7,6 +7,7 @@ import pytest
 from ckgames import worlds
 from ckgames.scenarios import (
     Blind,
+    FarCircle,
     Full,
     HatsAtLeast,
     HatsExactly,
@@ -28,8 +29,10 @@ from ckgames.worlds import (
     filter_simultaneous,
     filter_turn,
     knows_own,
+    partition,
     split,
 )
+from helpers import assert_one_part_per_class
 
 R, B = 0, 1
 
@@ -210,8 +213,8 @@ def test_orbit_split_refuses_a_partial_step():
     state = gen_universe(HatsAtLeast(0, 1, 2), 6)
     half_turns = [(0, 1, 2, 3, 4, 5), (2, 3, 4, 5, 0, 1), (4, 5, 0, 1, 2, 3)]
     mirrors = [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0)]
-    assert split(state, range(6), vis, SeatGroup(vis, half_turns)) == split(state, range(6), vis)
-    assert split(state, range(6), vis, SeatGroup(vis, mirrors)) == split(state, range(6), vis)
+    for group in (SeatGroup(vis, half_turns), SeatGroup(vis, mirrors)):
+        assert_one_part_per_class(state, vis, group, partition(state, range(6), vis, group))
     # a rotation of a line of seats moves an end seat, which has one neighbour, into the middle
     line = gen_visibility(NearLine(), 4)
     rotations = [tuple((i + k) % 4 for i in range(4)) for k in range(4)]
@@ -220,14 +223,15 @@ def test_orbit_split_refuses_a_partial_step():
                                    (range(5), vis, mirrors), (range(6), vis, [(0, 1, 2, 3), (1, 2, 3, 0)]),
                                    (range(6), vis, [mirrors[0], (0,) * 6]), (range(4), line, rotations)]:
         with pytest.raises(ContractViolation):
-            split(states[sight], speakers, sight, SeatGroup(sight, perms))
+            partition(states[sight], speakers, sight, SeatGroup(sight, perms))
 
 
 def test_seat_group_refuses_a_step_that_breaks_the_sight_graph():
     # on a line of four seats a rotation moves an end seat, which sees one
     # neighbour, into the middle: answers moved by it would be wrong, so the
     # group refuses it when built, before any split.  The reversal maps the
-    # line onto itself, and a split through it gives the plain split's answers
+    # line onto itself, and a split through it keeps one part of each pair of
+    # mirrored answer vectors, which the reversal moves onto the other
     vis = gen_visibility(NearLine(), 4)
     state = gen_universe(HatsExactly(0, 1, 2), 4)
     with pytest.raises(ContractViolation):
@@ -240,7 +244,13 @@ def test_seat_group_refuses_a_step_that_breaks_the_sight_graph():
         (False, True, False, True): [(1, 1, 0, 1)],
         (False, False, True, False): [(1, 1, 1, 0)],
     }
-    assert split(state, range(4), vis, mirror) == split(state, range(4), vis) == expected
+    assert split(state, range(4), vis) == expected
+    parts = partition(state, range(4), vis, mirror)
+    assert [(answers, list(part), images) for answers, part, images in parts] == [
+        ((False, True, False, False), [(0, 1, 1, 1)], [0, 1]),
+        ((True, False, True, False), [(1, 0, 1, 1)], [0, 1]),
+    ]
+    assert_one_part_per_class(state, vis, mirror, parts)
 
 
 def test_a_reversal_only_split_answers_per_orbit(monkeypatch):
@@ -251,12 +261,13 @@ def test_a_reversal_only_split_answers_per_orbit(monkeypatch):
     state = gen_universe(MaxDiffExact(1, 3), 4)
     mirror = SeatGroup(vis, [(3, 2, 1, 0)])
     calls = []
-    real = worlds._answers_per_orbit
-    monkeypatch.setattr(worlds, "_answers_per_orbit", lambda *args: calls.append(args[2]) or real(*args))
+    real = worlds._orbit_parts
+    monkeypatch.setattr(worlds, "_orbit_parts", lambda *args: calls.append(args[2]) or real(*args))
     plain = split(state, range(4), vis)
     assert calls == []
-    assert split(state, range(4), vis, SeatGroup(vis)) == plain and calls == []
-    assert split(state, range(4), vis, mirror) == plain and calls == [mirror.acts]
+    assert partition(state, range(4), vis, SeatGroup(vis)) == partition(state, range(4), vis) and calls == []
+    assert_one_part_per_class(state, vis, mirror, partition(state, range(4), vis, mirror))
+    assert calls == [mirror]
     for answers, part in plain.items():
         assert all(answer_vector(state, w, vis) == answers for w in part)
 
@@ -265,16 +276,34 @@ def test_split_refuses_a_group_of_another_sight_graph():
     line, circle = gen_visibility(NearLine(), 4), gen_visibility(NearCircle(), 4)
     state = gen_universe(HatsExactly(0, 1, 2), 4)
     mirror = SeatGroup(line, [(3, 2, 1, 0)])
-    assert split(state, range(4), gen_visibility(NearLine(), 4), mirror) == split(state, range(4), line)
+    # a group set up for an equal graph serves it
+    parts = partition(state, range(4), gen_visibility(NearLine(), 4), mirror)
+    assert parts == partition(state, range(4), line, mirror)
+    assert_one_part_per_class(state, line, mirror, parts)
     for group in (mirror, SeatGroup(line)):
         with pytest.raises(ContractViolation, match="set up for another sight graph"):
-            split(state, range(4), circle, group)
+            partition(state, range(4), circle, group)
     # a one-world state, whose every speaker knows, is checked all the same
     with pytest.raises(ContractViolation, match="set up for another sight graph"):
-        split(KnowledgeState(((0, 1, 1),)), range(3), gen_visibility(Full(), 3), mirror)
+        partition(KnowledgeState(((0, 1, 1),)), range(3), gen_visibility(Full(), 3), mirror)
     with pytest.raises(ContractViolation, match="every agent in seat order"):
-        split(KnowledgeState(((0, 1, 1, 1),)), (3, 2, 1, 0), line, mirror)
+        partition(KnowledgeState(((0, 1, 1, 1),)), (3, 2, 1, 0), line, mirror)
     assert split(KnowledgeState(((0, 1, 1, 1),)), (3, 2), line) == {(True, True): [(0, 1, 1, 1)]}
+
+
+def test_a_sweeps_group_split_keeps_one_part_per_class():
+    # far-circle sight on 14 seats keeps the dihedral group of 28 elements.  The
+    # universe's 1,001 worlds give 609 answer vectors in 32 classes, and the
+    # split builds one part per class, 55 worlds in all, whose images stand for
+    # the 609 parts
+    n = 14
+    vis = gen_visibility(FarCircle(), n)
+    state = gen_universe(HatsExactly(0, 4, 2), n)
+    group = SeatGroup(vis, [tuple((i - 1) % n for i in range(n)), tuple(range(n - 1, -1, -1))])
+    parts = partition(state, range(n), vis, group)
+    assert len(group.perms) == 28 and len(state) == 1001 and len(split(state, range(n), vis)) == 609
+    assert (len(parts), sum(len(part) for _, part, _ in parts), sum(len(images) for *_, images in parts)) == (32, 55, 609)
+    assert_one_part_per_class(state, vis, group, parts)
 
 
 def test_a_plain_split_computes_each_key_once():
@@ -293,7 +322,7 @@ def test_a_plain_split_computes_each_key_once():
     object.__setattr__(vis, "keys", tuple(counting(i, key) for i, key in enumerate(vis.keys)))
     for speakers, group in [((2,), None), ((4, 1), None), (range(5), SeatGroup(vis))]:
         calls[:] = [0] * 5
-        parts = split(state, speakers, vis, group)
+        parts = partition(state, speakers, vis, group)
         assert calls == [len(state) if i in speakers else 0 for i in range(5)]
-        for answers, part in parts.items():
+        for answers, part, _ in parts:
             assert all(tuple(knows_own(a, w, state, vis) for a in speakers) == answers for w in part)
